@@ -247,6 +247,8 @@ def _sweep_cases(identity: str, rank: int, win: st.Window):
 
 
 def cmd_sweep(args) -> int:
+    if args.rank < 1:
+        raise _precondition_error(f"--rank must be positive, got {args.rank}")
     if args.identity in ("sp-transition", "sp-recurrence", "f-grass",
                          "stable-sp-transition") and args.rank % 2:
         raise _precondition_error("this identity sweeps involutions: --rank must be even")

@@ -1,8 +1,11 @@
 """Grothendieck and symplectic Grothendieck polynomials.
 
-Both families are generated by beta divided differences from an explicit
-top element: the staircase monomial for permutations, and a product of
-x_i + x_j + beta*x_i*x_j factors for fpf involutions.  Transition identities
+Both families are generated by beta divided differences.  An element climbs
+by first ascents to its nearest dominant ancestor, where the family has a
+closed form: the monomial x^code for a dominant permutation (weakly
+decreasing code), and the product of x_i + x_j + beta*x_i*x_j over the
+diagram for an Sp-dominant fpf involution.  The beta steps of the climb are
+then applied in reverse to descend to the element.  Transition identities
 are verified by expanding both sides into honest polynomials.  Polynomials
 are expanded in the permutation-indexed basis by repeatedly stripping the
 lowest-degree homogeneous part, which is a Z[beta]-combination of Schubert
@@ -48,12 +51,10 @@ def _one_plus_beta_x(i: int, nvars: int) -> MultiPoly:
 @cache
 def _groth_raw(oneline: tuple[int, ...]) -> MultiPoly:
     w = Permutation(oneline)
-    m = w.support
-    if m <= 1:
-        return MultiPoly.one(1)
-    if w == Permutation.longest(m):
-        exps = tuple(m - 1 - t for t in range(m))
-        return MultiPoly.monomial(exps)
+    m = max(w.support, 1)
+    code = w.code()
+    if all(code[t] >= code[t + 1] for t in range(len(code) - 1)):  # dominant
+        return MultiPoly.monomial(code).embed(m)
     i = next(i for i in range(1, m) if w(i) < w(i + 1))
     u = w.times_s(i)
     return beta_divided_diff(i, _groth_raw(u.oneline).embed(m))
@@ -61,7 +62,11 @@ def _groth_raw(oneline: tuple[int, ...]) -> MultiPoly:
 
 def grothendieck(w: Permutation, nvars: int | None = None) -> MultiPoly:
     """The member of the unique beta divided difference family indexed by w,
-    normalized so the reversal n...321 maps to the staircase monomial."""
+    normalized so the reversal n...321 maps to the staircase monomial.
+
+    Computed from the nearest dominant permutation above w along first
+    ascents, where the member is x^code.  The result lives in
+    max(1, support) variables unless nvars is given."""
     f = _groth_raw(w.oneline)
     if nvars is not None:
         if nvars < max(1, w.support - 1):
@@ -79,22 +84,26 @@ def schubert(w: Permutation) -> MultiPoly:
 def _sp_groth_raw(oneline: tuple[int, ...]) -> MultiPoly:
     z = FpfInvolution(oneline)
     m = max(z.support, 2)
-    if z == (FpfInvolution.top(m) if z.support else FpfInvolution.theta_involution()):
-        f = MultiPoly.one(max(1, m - 1))
-        for i in range(1, m):
-            for j in range(i + 1, m - i + 1):
-                f = f * oplus(MultiPoly.x(i, m - 1), MultiPoly.x(j, m - 1))
-        return f
+    if is_sp_dominant(z):
+        # n...321 and theta keep the m - 1 variables of the staircase product
+        is_top = oneline == tuple(range(z.support, 0, -1))
+        return sp_dominant_poly(z, m - 1 if is_top else m)
     i = next(i for i in range(1, m) if z(i) < z(i + 1))
     y = z.conj_s(i)
-    assert i + 1 != y(i) and y(i) > y(i + 1) and y(i + 1) != i
-    return beta_divided_diff(i, _sp_groth_raw(y.oneline).embed(max(m, i + 1)))
+    if y(i) == i + 1 or y(i) < y(i + 1) or y(i + 1) == i:
+        raise RuntimeError(f"conjugating {z!r} at the ascent {i} does not raise its length")
+    return beta_divided_diff(i, _sp_groth_raw(y.oneline).embed(m))
 
 
 def sp_grothendieck(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
     """The symplectic family member indexed by the fpf involution z,
     normalized so n...321 maps to the product of x_i (+) x_j over its
-    dominant diagram."""
+    dominant diagram.
+
+    Computed from the nearest Sp-dominant involution above z along first
+    ascents, where the member is that closed product.  The result lives in
+    m - 1 variables for n...321 and theta (m = max(support, 2)), and in the
+    support otherwise, unless nvars is given."""
     f = _sp_groth_raw(z.oneline)
     if nvars is not None:
         f = f.embed(max(nvars, f.nvars)).restrict(nvars) if nvars < f.nvars else f.embed(nvars)
@@ -123,12 +132,13 @@ def is_sp_dominant(z: FpfInvolution) -> bool:
     return all(mu[t] > mu[t + 1] for t in range(k - 1)) and mu[-1] > 0
 
 
-def sp_dominant_poly(z: FpfInvolution) -> MultiPoly:
-    """Closed product over the diagram; only valid on dominant involutions."""
+def sp_dominant_poly(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
+    """Closed product over the diagram; only valid on dominant involutions.
+    Built in nvars variables, by default the largest row of the diagram."""
     if not is_sp_dominant(z):
         raise ValueError(f"{z!r} is not Sp-dominant")
     cells = sorted(sp_rothe_diagram(z))
-    n = max((i for i, _ in cells), default=1)
+    n = max((i for i, _ in cells), default=1) if nvars is None else nvars
     f = MultiPoly.one(n)
     for i, j in cells:
         f = f * oplus(MultiPoly.x(i, n), MultiPoly.x(j, n))
@@ -211,7 +221,8 @@ def _extract_schubert_level(bottom: MultiPoly) -> dict[Permutation, BetaInt]:
         rw = reduced_word(w)
         ambient = max(work.nvars, max(rw) + 1 if rw else 1)
         c = apply_word("partial", rw, work.embed(ambient)).constant_term()
-        assert c == work.coefficient(exps), "pivot extraction mismatch"
+        if c != work.coefficient(exps):
+            raise RuntimeError(f"pivot extraction mismatch at {w!r}")
         found[w] = c
         work = work - schubert(w) * c
     return found
@@ -379,7 +390,8 @@ def sp_transition_recurrence(z: FpfInvolution, nvars: int | None = None) -> Recu
     l = max(t for t in range(k + 1, z.support + 1) if z(t) < bound)
     v = z.conj_transposition(k, l)
     j = v(k)
-    assert v(j) == k and j < k
+    if v(j) != k or not j < k:
+        raise RuntimeError(f"no 2-cycle (j, {k}) with j < {k} below {z!r}")
     I, L = fpf_transition_indices(v, j, k)
     asc_plus_ok = L == (l,)
     nvars = nvars or 1

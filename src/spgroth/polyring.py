@@ -13,6 +13,7 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 
@@ -242,10 +243,11 @@ class MultiPoly:
         if len(a.terms) < len(b.terms):
             a, b = b, a
         out = {}
+        get = out.get
         for (bp1, e1), c1 in a.terms.items():
             for (bp2, e2), c2 in b.terms.items():
-                key = (bp1 + bp2, tuple(x + y for x, y in zip(e1, e2)))
-                s = out.get(key, 0) + c1 * c2
+                key = (bp1 + bp2, tuple(map(add, e1, e2)))
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -331,14 +333,22 @@ class MultiPoly:
 
     # -- canonical serialization --------------------------------------------
 
-    def canonical_terms(self) -> list[tuple[tuple[int, ...], BetaInt]]:
-        """Terms as (exponents, Z[beta]-coefficient), in the canonical order."""
+    def _canonical_groups(self) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+        """(exponents, {beta power: coefficient}) in the canonical order."""
         grouped: dict[tuple[int, ...], dict[int, int]] = {}
         for (bp, exps), c in self.terms.items():
-            grouped.setdefault(exps, {})[bp] = c
+            bps = grouped.get(exps)
+            if bps is None:
+                grouped[exps] = {bp: c}
+            else:
+                bps[bp] = c
+        for _, exps in sorted((sum(e), e) for e in grouped):
+            yield exps, grouped[exps]
+
+    def canonical_terms(self) -> list[tuple[tuple[int, ...], BetaInt]]:
+        """Terms as (exponents, Z[beta]-coefficient), in the canonical order."""
         out = []
-        for exps in sorted(grouped, key=lambda e: (sum(e), e)):
-            bps = grouped[exps]
+        for exps, bps in self._canonical_groups():
             coeffs = [0] * (max(bps) + 1)
             for bp, c in bps.items():
                 coeffs[bp] = c
@@ -346,15 +356,27 @@ class MultiPoly:
         return out
 
     def canonical_text(self) -> str:
+        """The canonical_terms() coefficients in bracket form with their
+        x-factors, written in one pass without building a BetaInt per term."""
+        names: dict[tuple[int, int], str] = {}
         parts = []
-        for exps, coeff in self.canonical_terms():
+        for exps, bps in self._canonical_groups():
+            if len(bps) == 1:
+                [(bp, c)] = bps.items()
+                text = "[" + "0," * bp + str(c) + "]"
+            else:
+                coeffs = [0] * (max(bps) + 1)
+                for bp, c in bps.items():
+                    coeffs[bp] = c
+                text = "[" + ",".join(map(str, coeffs)) + "]"
             factors = []
             for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e:
-                    factors.append(f"x{i + 1}^{e}")
-            parts.append(coeff.bracket() + (" * " + " ".join(factors) if factors else ""))
+                if e:
+                    name = names.get((i, e))
+                    if name is None:
+                        name = names[(i, e)] = f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                    factors.append(name)
+            parts.append(text + " * " + " ".join(factors) if factors else text)
         return " + ".join(parts) if parts else "0"
 
     def to_json_obj(self) -> list[dict]:

@@ -112,7 +112,7 @@ def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     truncated at the window."""
     lam = as_partition(lam)
     weight = sum(lam)
-    f = MultiPoly.zero(win.nvars)
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
     for tab in set_valued_tableaux(lam, win.nvars, win.maxdeg):
         exps = [0] * win.nvars
         size = 0
@@ -120,8 +120,9 @@ def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
             size += len(subset)
             for v in subset:
                 exps[v - 1] += 1
-        f = f + MultiPoly.monomial(tuple(exps), beta_power=size - weight)
-    return f
+        key = (size - weight, tuple(exps))
+        counts[key] = counts.get(key, 0) + 1
+    return MultiPoly(win.nvars, counts)
 
 
 # marked letters: value v primed -> 2v - 1, unprimed -> 2v (so integer order
@@ -185,7 +186,7 @@ def gp_partition(lam: tuple[int, ...], win: Window, diagonal_primes: bool = Fals
     truncated at the window."""
     lam = as_strict_partition(lam)
     weight = sum(lam)
-    f = MultiPoly.zero(win.nvars)
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
     for tab in shifted_set_valued_tableaux(lam, win.nvars, win.maxdeg, diagonal_primes):
         exps = [0] * win.nvars
         size = 0
@@ -193,8 +194,9 @@ def gp_partition(lam: tuple[int, ...], win: Window, diagonal_primes: bool = Fals
             size += len(subset)
             for m in subset:
                 exps[_letter_value(m) - 1] += 1
-        f = f + MultiPoly.monomial(tuple(exps), beta_power=size - weight)
-    return f
+        key = (size - weight, tuple(exps))
+        counts[key] = counts.get(key, 0) + 1
+    return MultiPoly(win.nvars, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +257,8 @@ def gp_sp_stabilized(z: FpfInvolution, win: Window, max_extra: int = 8) -> Multi
         if len(values) >= 2 and values[-1] == values[-2]:
             g = _apply_pi_truncated(_long_word(n + extra + 1),
                                     sp_grothendieck(z).embed(n + extra + 1), win.maxdeg)
-            assert win.clip(g) == values[-1], "window agreement was not stable"
+            if win.clip(g) != values[-1]:
+                raise RuntimeError("window agreement was not stable")
             return values[-1]
     raise RuntimeError(f"no window stabilization within {max_extra} steps")
 

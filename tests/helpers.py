@@ -7,9 +7,10 @@ code paths it checks.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from spgroth.coxeter import FpfInvolution, Permutation, theta
-from spgroth.polyring import MultiPoly
+from spgroth.polyring import MultiPoly, beta_divided_diff, oplus
 
 
 def oracle_inversions(word) -> int:
@@ -57,6 +58,59 @@ def oracle_min_conjugating_length(z: FpfInvolution, n: int) -> int:
 
 def conj_by_transposition(z: FpfInvolution, i: int, j: int) -> FpfInvolution:
     return z.conj_transposition(i, j)
+
+
+@cache
+def _oracle_groth(oneline: tuple[int, ...]) -> MultiPoly:
+    w = Permutation(oneline)
+    m = w.support
+    if m <= 1:
+        return MultiPoly.one(1)
+    if w == Permutation.longest(m):
+        return MultiPoly.monomial(tuple(m - 1 - t for t in range(m)))
+    i = next(i for i in range(1, m) if w(i) < w(i + 1))
+    return beta_divided_diff(i, _oracle_groth(w.times_s(i).oneline).embed(m))
+
+
+def oracle_grothendieck(w: Permutation) -> MultiPoly:
+    """The permutation family by its definition: the staircase monomial at
+    the reversal of the support, then beta divided differences down the
+    first-ascent chain.  Carries the library's nvars convention (the
+    support, or 1 for the identity)."""
+    return _oracle_groth(w.oneline)
+
+
+@cache
+def _oracle_sp_groth(oneline: tuple[int, ...]) -> MultiPoly:
+    z = FpfInvolution(oneline)
+    m = max(z.support, 2)
+    if z == (FpfInvolution.top(m) if z.support else FpfInvolution.theta_involution()):
+        f = MultiPoly.one(m - 1)
+        for i in range(1, m):
+            for j in range(i + 1, m - i + 1):
+                f = f * oplus(MultiPoly.x(i, m - 1), MultiPoly.x(j, m - 1))
+        return f
+    i = next(i for i in range(1, m) if z(i) < z(i + 1))
+    return beta_divided_diff(i, _oracle_sp_groth(z.conj_s(i).oneline).embed(m))
+
+
+def oracle_sp_grothendieck(z: FpfInvolution) -> MultiPoly:
+    """The symplectic family by its definition: the dense product over the
+    staircase at n...321, then beta divided differences down the
+    first-ascent chain.  Carries the library's nvars convention (m - 1 for
+    n...321 and theta, else the support)."""
+    return _oracle_sp_groth(z.oneline)
+
+
+def oracle_canonical_text(f: MultiPoly) -> str:
+    """The serializer by its definition: the bracket form of each
+    canonical_terms() coefficient, then the x-factors."""
+    parts = []
+    for exps, coeff in f.canonical_terms():
+        factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                   for i, e in enumerate(exps) if e]
+        parts.append(coeff.bracket() + (" * " + " ".join(factors) if factors else ""))
+    return " + ".join(parts) if parts else "0"
 
 
 def random_beta_poly(rng, nvars=3, max_deg=3, max_beta=2, terms=5,

@@ -122,6 +122,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "sp-transition", "--rank", "5")
         assert code == 3
 
+    def test_nonpositive_rank_rejected(self, capsys):
+        for identity, rank in (("f-grass", "-2"), ("lenart-transition", "0")):
+            code, out, err = run(capsys, "sweep", identity, "--rank", rank)
+            assert code == 3, identity
+            assert out == ""
+            assert "--rank must be positive" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "sweep", "f-grass", "--rank", "4",
                            "--nvars", "3", "--maxdeg", "4", "--format", "json")

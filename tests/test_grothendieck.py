@@ -33,6 +33,8 @@ from helpers import (
     S3_TABLE,
     SP4_TABLE,
     SP_351624_TERMS,
+    oracle_grothendieck,
+    oracle_sp_grothendieck,
     poly_from_beta_terms,
 )
 
@@ -137,15 +139,40 @@ class TestSpDominant:
         assert not is_sp_dominant(parse_fpf("351624"))
         with pytest.raises(ValueError):
             sp_dominant_poly(parse_fpf("351624"))
+        f = sp_dominant_poly(parse_fpf("4321"), nvars=5)
+        assert f.nvars == 5 and f == sp_dominant_poly(parse_fpf("4321"))
+        with pytest.raises(ValueError):
+            sp_dominant_poly(parse_fpf("4321"), nvars=2)
 
     def test_product_equals_recursion(self):
+        # against the top-descent oracle: production seeds with the product
         for n in (4, 6):
             z = FpfInvolution.top(n)
             assert is_sp_dominant(z)
-            assert sp_dominant_poly(z) == sp_grothendieck(z)
+            assert sp_dominant_poly(z) == oracle_sp_grothendieck(z)
         for z in all_fpf_involutions(6):
             if is_sp_dominant(z):
-                assert sp_dominant_poly(z) == sp_grothendieck(z)
+                assert sp_dominant_poly(z) == oracle_sp_grothendieck(z)
+
+
+def _same_output(f: MultiPoly, g: MultiPoly) -> bool:
+    """Equal as printed: text, JSON terms and variable count."""
+    return (f.canonical_text() == g.canonical_text() and f.to_json_obj() == g.to_json_obj()
+            and f.nvars == g.nvars)
+
+
+class TestTopDescentOracle:
+    """Seeding at the nearest dominant ancestor changes no output of either
+    family against descending from the top element."""
+
+    def test_sp_family_rank_8(self):
+        # rank 8 holds every smaller involution too, trimmed to canonical form
+        for z in all_fpf_involutions(8):
+            assert _same_output(sp_grothendieck(z), oracle_sp_grothendieck(z)), z
+
+    def test_permutation_family_rank_6(self):
+        for w in all_permutations(6):
+            assert _same_output(grothendieck(w), oracle_grothendieck(w)), w
 
 
 class TestLenartTransition:

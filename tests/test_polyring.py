@@ -23,7 +23,7 @@ from spgroth.polyring import (
     truncate,
 )
 
-from helpers import random_beta_poly, symmetrize_block
+from helpers import oracle_canonical_text, random_beta_poly, symmetrize_block
 
 X = MultiPoly.x
 BETA = BetaInt.beta()
@@ -259,6 +259,16 @@ class TestSerialization:
         assert f.canonical_text() == "[1] * x2 + [1] * x1 + [0,1] * x1 x2"
         assert MultiPoly.zero(3).canonical_text() == "0"
         assert (X(1, 1, power=-2)).canonical_text() == "[1] * x1^-2"
+
+    @given(poly_strategy(nvars=4, laurent=True))
+    def test_canonical_text_matches_term_route(self, f):
+        assert f.canonical_text() == oracle_canonical_text(f)
+
+    def test_canonical_text_mixed_beta_coefficients(self):
+        f = (X(1, 2) + X(1, 2) * BETA * BETA * 3 - MultiPoly.beta(2) * 2
+             + X(2, 2, power=3) * BETA)
+        assert f.canonical_text() == "[0,-2] + [1,0,3] * x1 + [0,1] * x2^3"
+        assert f.canonical_text() == oracle_canonical_text(f)
 
     def test_json_round_stability(self):
         f = oplus(X(1, 3), X(2, 3)) * X(3, 3)
