@@ -87,46 +87,34 @@ def _emit_expansion(rows: list[dict], args, meta: dict) -> None:
             print(f"{row['element']}: {coef}")
 
 
+# object -> (element kind, default expansion basis, builder from the parsed
+# element and the window); the builders look their functions up when called
+OBJECTS = {
+    "groth": ("perm", "groth", lambda el, win: grothendieck(el)),
+    "schubert": ("perm", "groth", lambda el, win: schubert(el)),
+    "sp-groth": ("fpf", "groth", lambda el, win: sp_grothendieck(el)),
+    "G": ("partition", "G", lambda el, win: st.stable_groth_partition(el, win)),
+    "GP": ("strict", "GP", lambda el, win: st.gp_partition(el, win)),
+    "GP-sp": ("fpf", "GP", lambda el, win: st.gp_sp(el, win)),
+}
+
+
+def _build(args, win: st.Window) -> MultiPoly:
+    kind, _, build = OBJECTS[args.object]
+    return build(_parse(kind, args.element), win)
+
+
 def cmd_compute(args) -> int:
-    win = _window(args)
-    obj = args.object
-    if obj == "groth":
-        f = grothendieck(_parse("perm", args.element))
-    elif obj == "schubert":
-        f = schubert(_parse("perm", args.element))
-    elif obj == "sp-groth":
-        f = sp_grothendieck(_parse("fpf", args.element))
-    elif obj == "G":
-        f = st.stable_groth_partition(_parse("partition", args.element), win)
-    elif obj == "GP":
-        f = st.gp_partition(_parse("strict", args.element), win)
-    elif obj == "GP-sp":
-        f = st.gp_sp(_parse("fpf", args.element), win)
-    else:
-        raise AssertionError(obj)
-    _emit_poly(f, args, {"command": "compute", "object": obj, "element": args.element})
+    f = _build(args, _window(args))
+    _emit_poly(f, args, {"command": "compute", "object": args.object, "element": args.element})
     return 0
 
 
 def cmd_expand(args) -> int:
     win = _window(args)
     obj = args.object
-    basis = args.basis or {"groth": "groth", "schubert": "groth", "sp-groth": "groth",
-                           "G": "G", "GP": "GP", "GP-sp": "GP"}[obj]
-    if obj == "groth":
-        f = grothendieck(_parse("perm", args.element))
-    elif obj == "schubert":
-        f = schubert(_parse("perm", args.element))
-    elif obj == "sp-groth":
-        f = sp_grothendieck(_parse("fpf", args.element))
-    elif obj == "G":
-        f = st.stable_groth_partition(_parse("partition", args.element), win)
-    elif obj == "GP":
-        f = st.gp_partition(_parse("strict", args.element), win)
-    elif obj == "GP-sp":
-        f = st.gp_sp(_parse("fpf", args.element), win)
-    else:
-        raise AssertionError(obj)
+    basis = args.basis or OBJECTS[obj][1]
+    f = _build(args, win)
 
     meta = {"command": "expand", "object": obj, "element": args.element, "basis": basis,
             "window": {"nvars": win.nvars, "maxdeg": win.maxdeg}}
@@ -284,16 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--maxdeg", type=int, default=6)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    objects = ("groth", "schubert", "sp-groth", "G", "GP", "GP-sp")
-
     p = sub.add_parser("compute", help="print a polynomial in canonical form")
-    p.add_argument("object", choices=objects)
+    p.add_argument("object", choices=tuple(OBJECTS))
     p.add_argument("element")
     add_common(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("expand", help="print a basis expansion")
-    p.add_argument("object", choices=objects)
+    p.add_argument("object", choices=tuple(OBJECTS))
     p.add_argument("element")
     p.add_argument("--basis", choices=("groth", "G", "GP"))
     p.add_argument("--max-expansion-degree", type=int, default=16)

@@ -71,7 +71,7 @@ def grothendieck(w: Permutation, nvars: int | None = None) -> MultiPoly:
     if nvars is not None:
         if nvars < max(1, w.support - 1):
             raise ValueError(f"nvars={nvars} below the variables of the result")
-        f = f.embed(max(nvars, f.nvars)).restrict(nvars) if nvars < f.nvars else f.embed(nvars)
+        f = f.restrict(nvars)
     return f
 
 
@@ -103,10 +103,13 @@ def sp_grothendieck(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
     Computed from the nearest Sp-dominant involution above z along first
     ascents, where the member is that closed product.  The result lives in
     m - 1 variables for n...321 and theta (m = max(support, 2)), and in the
-    support otherwise, unless nvars is given."""
+    support otherwise, unless nvars is given; nvars may drop x_support,
+    which no term uses, but no variable below it."""
     f = _sp_groth_raw(z.oneline)
     if nvars is not None:
-        f = f.embed(max(nvars, f.nvars)).restrict(nvars) if nvars < f.nvars else f.embed(nvars)
+        if nvars < max(1, z.support - 1):
+            raise ValueError(f"nvars={nvars} below the variables of the result")
+        f = f.restrict(nvars)
     return f
 
 

@@ -1,19 +1,37 @@
 """Exact sparse Laurent polynomials over Z[beta], with divided differences.
 
-A polynomial is stored as a map from (beta_power, exponent_vector) to an
-integer coefficient, where exponent_vector is a tuple of length `nvars`
-(negative entries allowed, so the ring is Laurent).  All arithmetic is exact
-integer arithmetic; no coefficient ring beyond Z[beta] is supported.
+A polynomial in x_1..x_n is a dict from packed monomial keys to nonzero
+integer coefficients (the packed-monomial layout of Monagan and Pearce).  A
+key is one Python int made of fields of FIELD_BITS bits.  From the low end
+they hold the beta power, then the exponents of x_n, ..., x_1; above them
+sits the signed total x-degree, unbounded.  Exponent fields are biased, so
+negative exponents are allowed and the ring is Laurent.  The layout gives:
 
-The canonical term order used for serialization is graded lexicographic on
-the x-exponent vector, then beta degree.  Serialized output is bit-stable
-across runs.
+* sorting the keys gives the canonical term order: total degree, then the
+  exponent vector lexicographically, then the beta power;
+* the key of a product of two monomials is the sum of their keys minus the
+  key of 1, and the simple swap, the divided differences and the products
+  with x_i and 1 + beta*x_i add multiples of field units to a key;
+* truncation by total degree is one integer compare per term.
+
+Every exponent lies in EXP_MIN..EXP_MAX (-16384..16383) and every beta
+power in 0..BETA_MAX (0..32767).  The top bit of each field is a guard bit
+that stays clear on every stored key; an operation whose result would leave
+the range raises ExponentRangeError, a ValueError, and never wraps into a
+neighbouring field.
+
+Tuples stay at the boundary: the constructor accepts {(beta_power,
+exponents): c}, and the queries and serializers return exponent tuples.
+All arithmetic is exact integer arithmetic; no coefficient ring beyond
+Z[beta] is supported.  Serialized output is bit-stable across runs.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from operator import add
+from functools import cache, reduce
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator
 
 
@@ -97,12 +115,83 @@ def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:n]
 
 
-Key = tuple[int, tuple[int, ...]]  # (beta power, x exponents)
+# -- packed monomial keys ------------------------------------------------------
+
+FIELD_BITS = 16
+_FIELD_CODE = "h"  # struct code of a signed FIELD_BITS-bit field
+_FIELD = (1 << FIELD_BITS) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
+_BIAS = 1 << (FIELD_BITS - 2)  # stored exponent field = exponent + _BIAS
+EXP_MIN, EXP_MAX = -_BIAS, _BIAS - 1
+BETA_MAX = _GUARD - 1
+_RANGE = f"exponents {EXP_MIN}..{EXP_MAX}, beta powers 0..{BETA_MAX}"
+
+
+class ExponentRangeError(ValueError):
+    """An exponent or beta power outside the packed range."""
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} outside the packed range ({_RANGE})")
+
+
+class _Layout:
+    """Field positions of the keys of polynomials in `nvars` variables."""
+
+    __slots__ = ("nvars", "shift", "top", "zero", "guard", "x_mask", "x_bias", "nbytes",
+                 "unpack_x")
+
+    def __init__(self, nvars: int):
+        w = FIELD_BITS
+        self.nvars = nvars
+        self.shift = tuple(w * (nvars - j) for j in range(nvars))  # of x_1..x_n
+        self.top = w * (nvars + 1)  # of the total degree
+        # the key of 1; also the mask of the bit that is set in an exponent
+        # field exactly when the exponent is nonnegative
+        self.zero = sum(_BIAS << s for s in self.shift)
+        self.guard = sum(_GUARD << (w * j) for j in range(nvars + 1))
+        self.x_mask = (1 << (w * nvars)) - 1
+        self.x_bias = self.zero >> w
+        self.nbytes = w // 8 * nvars
+        self.unpack_x = struct.Struct(">" + _FIELD_CODE * nvars).unpack
+
+    def pack(self, bp: int, exps: tuple[int, ...]) -> int:
+        if len(exps) != self.nvars:
+            raise ValueError("exponent vector length != nvars")
+        if not 0 <= bp <= BETA_MAX:
+            raise ExponentRangeError(f"beta power {bp}")
+        key = self.zero + bp + (sum(exps) << self.top)
+        for e, s in zip(exps, self.shift):
+            if not EXP_MIN <= e <= EXP_MAX:
+                raise ExponentRangeError(f"exponent {e}")
+            key += e << s
+        return key
+
+    def exps(self, xkey: int) -> tuple[int, ...]:
+        """The exponent tuple of a key shifted right by one field."""
+        # flip each field's bias bit and copy it into the guard bit: the
+        # fields then read as signed integers equal to the exponents
+        y = (xkey & self.x_mask) ^ self.x_bias
+        y |= (y & self.x_bias) << 1
+        return self.unpack_x(y.to_bytes(self.nbytes, "big"))
+
+    def check(self, keys: Iterable[int]) -> None:
+        """Raise unless every guard bit of every key is clear."""
+        if reduce(or_, keys, 0) & self.guard:
+            raise ExponentRangeError("exponent or beta power")
+
+
+@cache
+def _layout(nvars: int) -> _Layout:
+    return _Layout(nvars)
+
+
+TupleKey = tuple[int, tuple[int, ...]]  # (beta power, x exponents)
 
 
 class MultiPoly:
     """Sparse Laurent polynomial in x_1..x_nvars over Z[beta].
 
+    `terms` maps packed keys (see the module docstring) to coefficients.
     Treat instances as immutable.  Binary operations embed both operands
     into the larger variable count, and equality ignores unused trailing
     variables, so a polynomial compares equal to any embedding of itself.
@@ -110,21 +199,19 @@ class MultiPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Key, int] | None = None):
+    def __init__(self, nvars: int, terms: dict[TupleKey, int] | None = None):
         if nvars < 1:
             raise ValueError("nvars must be positive")
         self.nvars = nvars
-        self.terms: dict[Key, int] = {}
+        self.terms: dict[int, int] = {}
         if terms:
+            pack = _layout(nvars).pack
             for (bp, exps), c in terms.items():
-                if not c:
-                    continue
-                if len(exps) != nvars:
-                    raise ValueError("exponent vector length != nvars")
-                self.terms[(bp, tuple(exps))] = c
+                if c:
+                    self.terms[pack(bp, tuple(exps))] = c
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Key, int]) -> "MultiPoly":
+    def _raw(cls, nvars: int, terms: dict[int, int]) -> "MultiPoly":
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
@@ -142,9 +229,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(c: BetaInt | int, nvars: int = 1) -> "MultiPoly":
-        c = BetaInt.of(c)
-        zero = (0,) * nvars
-        return MultiPoly._raw(nvars, {(k, zero): v for k, v in enumerate(c.coeffs) if v})
+        return MultiPoly.monomial((0,) * nvars, c)
 
     @staticmethod
     def x(i: int, nvars: int | None = None, power: int = 1) -> "MultiPoly":
@@ -152,8 +237,7 @@ class MultiPoly:
             nvars = i
         if not 1 <= i <= nvars:
             raise ValueError(f"variable x{i} outside 1..{nvars}")
-        exps = tuple(power if j == i - 1 else 0 for j in range(nvars))
-        return MultiPoly._raw(nvars, {(0, exps): 1})
+        return MultiPoly.monomial(tuple(power if j == i - 1 else 0 for j in range(nvars)))
 
     @staticmethod
     def beta(nvars: int = 1) -> "MultiPoly":
@@ -161,14 +245,9 @@ class MultiPoly:
 
     @staticmethod
     def monomial(exps: Iterable[int], coeff: BetaInt | int = 1, beta_power: int = 0) -> "MultiPoly":
-        exps = tuple(exps)
+        exps = tuple(exps) or (0,)
         c = BetaInt.of(coeff)
-        terms: dict[Key, int] = {}
-        for k, v in enumerate(c.coeffs):
-            if v:
-                terms[(beta_power + k, exps)] = v
-        return MultiPoly._raw(max(1, len(exps)), terms if exps else
-                              {(bp, (0,)): v for (bp, _), v in terms.items()})
+        return MultiPoly(len(exps), {(beta_power + k, exps): v for k, v in enumerate(c.coeffs)})
 
     # -- ring operations ---------------------------------------------------
 
@@ -177,21 +256,27 @@ class MultiPoly:
             raise ValueError("cannot shrink; use restrict")
         if nvars == self.nvars:
             return self
-        pad = (0,) * (nvars - self.nvars)
-        return MultiPoly._raw(nvars, {(bp, exps + pad): c for (bp, exps), c in self.terms.items()})
+        # the new variables x_{n+1}..x_nvars take the fields just above beta
+        cut = FIELD_BITS * (nvars - self.nvars + 1)
+        pad = _layout(nvars).zero & ((1 << cut) - 1)
+        return MultiPoly._raw(nvars, {((k >> FIELD_BITS) << cut) + (k & _FIELD) + pad: c
+                                      for k, c in self.terms.items()})
 
     def restrict(self, nvars: int) -> "MultiPoly":
         """Set x_{nvars+1} = x_{nvars+2} = ... = 0."""
         if nvars >= self.nvars:
-            return self.embed(nvars) if nvars > self.nvars else self
-        out: dict[Key, int] = {}
-        for (bp, exps), c in self.terms.items():
-            tail = exps[nvars:]
-            if any(e > 0 for e in tail):
-                continue
-            if any(e < 0 for e in tail):
+            return self.embed(nvars)
+        lay = _layout(self.nvars)
+        cut = FIELD_BITS * (self.nvars - nvars + 1)
+        tail_mask = (1 << cut) - 1 - _FIELD
+        pad = lay.zero & tail_mask
+        out: dict[int, int] = {}
+        for k, c in self.terms.items():
+            if k & tail_mask != pad:
+                if any(e > 0 for e in lay.exps(k >> FIELD_BITS)[nvars:]):
+                    continue
                 raise ValueError("restriction of a negative exponent")
-            out[(bp, exps[:nvars])] = c
+            out[((k >> cut) << FIELD_BITS) + (k & _FIELD)] = c
         return MultiPoly._raw(nvars, out)
 
     def _paired(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
@@ -226,32 +311,29 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly | BetaInt | int") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            c = BetaInt.of(other)
-            out: dict[Key, int] = {}
-            for (bp, exps), v in self.terms.items():
-                for k, ck in enumerate(c.coeffs):
-                    if not ck:
-                        continue
-                    key = (bp + k, exps)
-                    s = out.get(key, 0) + v * ck
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return MultiPoly._raw(self.nvars, out)
+            other = MultiPoly.constant(other, self.nvars)
         a, b = self._paired(other)
         if len(a.terms) < len(b.terms):
             a, b = b, a
-        out = {}
+        lay = _layout(a.nvars)
+        zero = lay.zero
+        out: dict[int, int] = {}
         get = out.get
-        for (bp1, e1), c1 in a.terms.items():
-            for (bp2, e2), c2 in b.terms.items():
-                key = (bp1 + bp2, tuple(map(add, e1, e2)))
+        for k2, c2 in b.terms.items():
+            k2 -= zero
+            if not out:
+                # the first row of products has distinct keys
+                out = {k1 + k2: c1 * c2 for k1, c1 in a.terms.items()}
+                get = out.get
+                continue
+            for k1, c1 in a.terms.items():
+                key = k1 + k2
                 s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     del out[key]
+        lay.check(out)
         return MultiPoly._raw(a.nvars, out)
 
     __rmul__ = __mul__
@@ -271,16 +353,8 @@ class MultiPoly:
                 other = MultiPoly.constant(other, self.nvars)
             else:
                 return NotImplemented
-        return self._normalized() == other._normalized()
-
-    def _normalized(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        out = {}
-        for (bp, exps), c in self.terms.items():
-            n = len(exps)
-            while n and exps[n - 1] == 0:
-                n -= 1
-            out[(bp, exps[:n])] = c
-        return out
+        a, b = self._paired(other)
+        return a.terms == b.terms
 
     # -- queries -----------------------------------------------------------
 
@@ -293,7 +367,11 @@ class MultiPoly:
             if any(exps[self.nvars:]):
                 return BetaInt()
             exps = exps[: self.nvars]
-        pairs = [(bp, c) for (bp, e), c in self.terms.items() if e == exps]
+        if not all(EXP_MIN <= e <= EXP_MAX for e in exps):
+            return BetaInt()
+        lo = _layout(self.nvars).pack(0, exps)
+        hi = lo + _FIELD
+        pairs = [(k - lo, c) for k, c in self.terms.items() if lo <= k <= hi]
         if not pairs:
             return BetaInt()
         out = [0] * (max(bp for bp, _ in pairs) + 1)
@@ -306,85 +384,111 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Largest total x-degree (0 for the zero polynomial)."""
-        return max((sum(e) for (_, e) in self.terms), default=0)
+        return max(self.terms) >> _layout(self.nvars).top if self.terms else 0
 
     def min_degree(self) -> int:
-        return min((sum(e) for (_, e) in self.terms), default=0)
+        return min(self.terms) >> _layout(self.nvars).top if self.terms else 0
 
     def degree_part(self, d: int) -> "MultiPoly":
-        return MultiPoly._raw(self.nvars, {k: c for k, c in self.terms.items() if sum(k[1]) == d})
+        top = _layout(self.nvars).top
+        lo, hi = d << top, (d + 1) << top
+        return MultiPoly._raw(self.nvars, {k: c for k, c in self.terms.items() if lo <= k < hi})
 
     def bottom(self) -> "MultiPoly":
         return self.degree_part(self.min_degree())
 
     def has_negative_exponents(self) -> bool:
-        return any(e < 0 for (_, exps) in self.terms for e in exps)
+        zero = _layout(self.nvars).zero
+        return (reduce(and_, self.terms, zero) & zero) != zero
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for (_, e) in self.terms}
-        return len(degrees) <= 1
+        return self.min_degree() == self.total_degree()
 
     def x_monomials(self) -> set[tuple[int, ...]]:
-        return {e for (_, e) in self.terms}
+        exps = _layout(self.nvars).exps
+        return {exps(xk) for xk in {k >> FIELD_BITS for k in self.terms}}
 
     def iter_beta_terms(self) -> Iterator[tuple[int, tuple[int, ...], int]]:
-        for (bp, exps), c in self.terms.items():
-            yield bp, exps, c
+        exps = _layout(self.nvars).exps
+        for k, c in self.terms.items():
+            yield k & _FIELD, exps(k >> FIELD_BITS), c
 
     # -- canonical serialization --------------------------------------------
 
-    def _canonical_groups(self) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-        """(exponents, {beta power: coefficient}) in the canonical order."""
-        grouped: dict[tuple[int, ...], dict[int, int]] = {}
-        for (bp, exps), c in self.terms.items():
-            bps = grouped.get(exps)
-            if bps is None:
-                grouped[exps] = {bp: c}
-            else:
-                bps[bp] = c
-        for _, exps in sorted((sum(e), e) for e in grouped):
-            yield exps, grouped[exps]
+    def _canonical_groups(self) -> Iterator[tuple[int, list[int]]]:
+        """(key shifted right by one field, dense beta coefficients) per
+        x-monomial in the canonical order: one pass over the sorted keys,
+        whose beta fields are lowest."""
+        terms = self.terms
+        run = None
+        coeffs: list[int] = []
+        for k in sorted(terms):
+            xk = k >> FIELD_BITS
+            if xk != run:
+                if coeffs:
+                    yield run, coeffs
+                run, coeffs = xk, []
+            bp = k & _FIELD
+            if bp > len(coeffs):
+                coeffs += [0] * (bp - len(coeffs))
+            coeffs.append(terms[k])
+        if coeffs:
+            yield run, coeffs
 
     def canonical_terms(self) -> list[tuple[tuple[int, ...], BetaInt]]:
         """Terms as (exponents, Z[beta]-coefficient), in the canonical order."""
-        out = []
-        for exps, bps in self._canonical_groups():
-            coeffs = [0] * (max(bps) + 1)
-            for bp, c in bps.items():
-                coeffs[bp] = c
-            out.append((exps, BetaInt(tuple(coeffs))))
-        return out
+        exps = _layout(self.nvars).exps
+        return [(exps(xk), BetaInt(tuple(coeffs))) for xk, coeffs in self._canonical_groups()]
 
     def canonical_text(self) -> str:
         """The canonical_terms() coefficients in bracket form with their
         x-factors, written in one pass without building a BetaInt per term."""
-        names: dict[tuple[int, int], str] = {}
+        n = self.nvars
+        exps = _layout(n).exps
+        names = [_FactorNames(f"x{i + 1}") for i in range(n)]
+        name = _FactorNames.__getitem__
+        # the factors of x_1..x_cut and of the rest, memoized by their fields:
+        # each half takes far fewer values than the whole monomial
+        cut = (n + 1) // 2
+        lo_bits = FIELD_BITS * (n - cut)
+        lo_mask, hi_mask = (1 << lo_bits) - 1, (1 << (FIELD_BITS * cut)) - 1
+        hi_text: dict[int, str] = {}
+        lo_text: dict[int, str] = {}
         parts = []
-        for exps, bps in self._canonical_groups():
-            if len(bps) == 1:
-                [(bp, c)] = bps.items()
-                text = "[" + "0," * bp + str(c) + "]"
-            else:
-                coeffs = [0] * (max(bps) + 1)
-                for bp, c in bps.items():
-                    coeffs[bp] = c
-                text = "[" + ",".join(map(str, coeffs)) + "]"
-            factors = []
-            for i, e in enumerate(exps):
-                if e:
-                    name = names.get((i, e))
-                    if name is None:
-                        name = names[(i, e)] = f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                    factors.append(name)
-            parts.append(text + " * " + " ".join(factors) if factors else text)
+        for xk, coeffs in self._canonical_groups():
+            hi, lo = (xk >> lo_bits) & hi_mask, xk & lo_mask
+            t_hi, t_lo = hi_text.get(hi), lo_text.get(lo)
+            if t_hi is None or t_lo is None:
+                e = exps(xk)
+                t_hi = hi_text[hi] = " ".join(filter(None, map(name, names[:cut], e[:cut])))
+                t_lo = lo_text[lo] = " ".join(filter(None, map(name, names[cut:], e[cut:])))
+            factors = t_hi + " " + t_lo if t_hi and t_lo else t_hi or t_lo
+            text = "[" + ",".join(map(str, coeffs)) + "]"
+            parts.append(text + " * " + factors if factors else text)
         return " + ".join(parts) if parts else "0"
 
     def to_json_obj(self) -> list[dict]:
-        return [{"exps": list(exps), "beta": list(coeff.coeffs)}
-                for exps, coeff in self.canonical_terms()]
+        """The canonical_terms() as {"exps": [...], "beta": [...]} objects."""
+        exps = _layout(self.nvars).exps
+        return [{"exps": list(exps(xk)), "beta": coeffs}
+                for xk, coeffs in self._canonical_groups()]
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.canonical_text()!r})"
+
+
+class _FactorNames(dict):
+    """The x-factor of one variable by exponent, '' for exponent 0."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, var: str):
+        super().__init__()
+        self.var = var
+
+    def __missing__(self, e: int) -> str:
+        name = self[e] = "" if e == 0 else self.var if e == 1 else f"{self.var}^{e}"
+        return name
 
 
 # -- operators --------------------------------------------------------------
@@ -395,70 +499,79 @@ def oplus(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return f + g + MultiPoly.beta(1) * f * g
 
 
+def _swap_step(i: int, f: MultiPoly) -> tuple[int, int, int]:
+    """(shift of the x_{i+1} field, the key change that lowers x_i and
+    raises x_{i+1} by one, the key change of dividing by x_i)."""
+    _check_index(i, f)
+    lay = _layout(f.nvars)
+    lo = lay.shift[i]
+    return lo, (1 << lo) - (1 << (lo + FIELD_BITS)), (1 << (lo + FIELD_BITS)) + (1 << lay.top)
+
+
 def act_si(i: int, f: MultiPoly) -> MultiPoly:
     """Interchange the variables x_i and x_{i+1}."""
-    _check_index(i, f)
-    a, b = i - 1, i
+    lo, step, _ = _swap_step(i, f)
     out = {}
-    for (bp, exps), c in f.terms.items():
-        if exps[a] != exps[b]:
-            e = list(exps)
-            e[a], e[b] = e[b], e[a]
-            out[(bp, tuple(e))] = c
-        else:
-            out[(bp, exps)] = c
+    for k, c in f.terms.items():
+        pair = k >> lo
+        out[k + (((pair >> FIELD_BITS) & _FIELD) - (pair & _FIELD)) * step] = c
     return MultiPoly._raw(f.nvars, out)
 
 
 def divided_diff(i: int, f: MultiPoly) -> MultiPoly:
     """(f - s_i f) / (x_i - x_{i+1}); the division is always exact,
     including on Laurent input."""
-    _check_index(i, f)
-    a, b = i - 1, i
-    out: dict[Key, int] = {}
-    for (bp, exps), c in f.terms.items():
-        p, q = exps[a], exps[b]
-        if p == q:
+    lo, step, down = _swap_step(i, f)
+    swap_down = step + down
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in f.terms.items():
+        pair = k >> lo
+        d = ((pair >> FIELD_BITS) & _FIELD) - (pair & _FIELD)  # e_i - e_{i+1}
+        # a difference of one (the commonest) gives a single term
+        if d == 1:
+            k -= down
+        elif d == -1:
+            k -= swap_down
+            c = -c
+        elif d == 0:
             continue
-        if p > q:
-            lo, hi, sign = q, p, c
         else:
-            lo, hi, sign = p, q, -c
-        base = list(exps)
-        for t in range(hi - lo):
-            base[a] = hi - 1 - t
-            base[b] = lo + t
-            key = (bp, tuple(base))
-            s = out.get(key, 0) + sign
-            if s:
-                out[key] = s
+            if d > 0:
+                k -= down
             else:
-                del out[key]
-    return MultiPoly._raw(f.nvars, out)
+                k += d * step - down
+                c, d = -c, -d
+            # x_i^(p-1-t) x_{i+1}^(q+t) for t < d, where p > q are the two exponents
+            for key in range(k, k + d * step, step):
+                out[key] = get(key, 0) + c
+            continue
+        out[k] = get(k, 0) + c
+    # cancelled terms are dropped once, after the sums
+    return MultiPoly._raw(f.nvars, {k: c for k, c in out.items() if c})
 
 
 def _times_one_plus_beta_x(i: int, f: MultiPoly) -> MultiPoly:
+    lay = _layout(f.nvars)
+    inc = (1 << lay.shift[i - 1]) + (1 << lay.top) + 1
     out = dict(f.terms)
-    a = i - 1
-    for (bp, exps), c in f.terms.items():
-        e = list(exps)
-        e[a] += 1
-        key = (bp + 1, tuple(e))
-        s = out.get(key, 0) + c
+    get = out.get
+    for k, c in f.terms.items():
+        key = k + inc
+        s = get(key, 0) + c
         if s:
             out[key] = s
         else:
             del out[key]
+    lay.check(out)
     return MultiPoly._raw(f.nvars, out)
 
 
 def _times_x(i: int, f: MultiPoly) -> MultiPoly:
-    a = i - 1
-    out = {}
-    for (bp, exps), c in f.terms.items():
-        e = list(exps)
-        e[a] += 1
-        out[(bp, tuple(e))] = c
+    lay = _layout(f.nvars)
+    inc = (1 << lay.shift[i - 1]) + (1 << lay.top)
+    out = {k + inc: c for k, c in f.terms.items()}
+    lay.check(out)
     return MultiPoly._raw(f.nvars, out)
 
 
@@ -495,43 +608,49 @@ def truncate(f: MultiPoly, max_degree: int) -> MultiPoly:
     """Drop all monomials of total x-degree above max_degree."""
     if f.has_negative_exponents():
         raise ValueError("truncate requires a polynomial, not a Laurent polynomial")
-    return MultiPoly._raw(
-        f.nvars, {k: c for k, c in f.terms.items() if sum(k[1]) <= max_degree})
+    limit = (max_degree + 1) << _layout(f.nvars).top
+    return MultiPoly._raw(f.nvars, {k: c for k, c in f.terms.items() if k < limit})
 
 
 def set_beta(f: MultiPoly, value: BetaInt | int) -> MultiPoly:
     """Substitute a value for beta (an integer or an element of Z[beta])."""
     v = BetaInt.of(value)
-    out: dict[Key, int] = {}
+    out: dict[int, int] = {}
     powers: dict[int, BetaInt] = {0: BetaInt.of(1)}
-    for (bp, exps), c in f.terms.items():
+    for key, c in f.terms.items():
+        bp = key & _FIELD
         if bp not in powers:
+            # v^bp has degree bp * deg(v): Z has no zero divisors
+            if bp * (len(v.coeffs) - 1) > BETA_MAX:
+                raise ExponentRangeError(f"beta power {bp * (len(v.coeffs) - 1)}")
             powers[bp] = v ** bp
+        base = key - bp
         for k, ck in enumerate(powers[bp].coeffs):
             if not ck:
                 continue
-            key = (k, exps)
-            s = out.get(key, 0) + c * ck
+            s = out.get(base + k, 0) + c * ck
             if s:
-                out[key] = s
+                out[base + k] = s
             else:
-                del out[key]
+                del out[base + k]
     return MultiPoly._raw(f.nvars, out)
 
 
 def scale_x_by_neg_beta(f: MultiPoly) -> MultiPoly:
     """Substitute x_i -> -beta * x_i for every variable."""
-    out: dict[Key, int] = {}
-    for (bp, exps), c in f.terms.items():
-        if any(e < 0 for e in exps):
-            raise ValueError("substitution requires a polynomial")
-        d = sum(exps)
-        key = (bp + d, exps)
-        s = out.get(key, 0) + c * (-1) ** d
+    if f.has_negative_exponents():
+        raise ValueError("substitution requires a polynomial")
+    top = _layout(f.nvars).top
+    out: dict[int, int] = {}
+    for key, c in f.terms.items():
+        d = key >> top
+        if (key & _FIELD) + d > BETA_MAX:
+            raise ExponentRangeError(f"beta power {(key & _FIELD) + d}")
+        s = out.get(key + d, 0) + c * (-1) ** d
         if s:
-            out[key] = s
+            out[key + d] = s
         else:
-            del out[key]
+            del out[key + d]
     return MultiPoly._raw(f.nvars, out)
 
 

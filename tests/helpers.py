@@ -10,7 +10,7 @@ import itertools
 from functools import cache
 
 from spgroth.coxeter import FpfInvolution, Permutation, theta
-from spgroth.polyring import MultiPoly, beta_divided_diff, oplus
+from spgroth.polyring import BetaInt, MultiPoly, beta_divided_diff, oplus
 
 
 def oracle_inversions(word) -> int:
@@ -102,15 +102,152 @@ def oracle_sp_grothendieck(z: FpfInvolution) -> MultiPoly:
     return _oracle_sp_groth(z.oneline)
 
 
+def _oracle_groups(f: MultiPoly) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(exponents, dense beta coefficients) by increasing (total degree,
+    exponents), built from iter_beta_terms() sorted by (sum(e), e, bp)."""
+    groups: list[tuple[tuple[int, ...], list[int]]] = []
+    for bp, exps, c in sorted(f.iter_beta_terms(), key=lambda t: (sum(t[1]), t[1], t[0])):
+        if not groups or groups[-1][0] != exps:
+            groups.append((exps, []))
+        coeffs = groups[-1][1]
+        coeffs.extend([0] * (bp + 1 - len(coeffs)))
+        coeffs[bp] = c
+    return groups
+
+
 def oracle_canonical_text(f: MultiPoly) -> str:
-    """The serializer by its definition: the bracket form of each
-    canonical_terms() coefficient, then the x-factors."""
+    """The serializer by its definition: per x-monomial in the canonical
+    order, the bracket form of its Z[beta] coefficient, then the x-factors."""
     parts = []
-    for exps, coeff in f.canonical_terms():
+    for exps, coeffs in _oracle_groups(f):
         factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                    for i, e in enumerate(exps) if e]
-        parts.append(coeff.bracket() + (" * " + " ".join(factors) if factors else ""))
+        parts.append(BetaInt(tuple(coeffs)).bracket()
+                     + (" * " + " ".join(factors) if factors else ""))
     return " + ".join(parts) if parts else "0"
+
+
+def oracle_json_obj(f: MultiPoly) -> list[dict]:
+    """The JSON terms by their definition, in the same order."""
+    return [{"exps": list(exps), "beta": coeffs} for exps, coeffs in _oracle_groups(f)]
+
+
+# -- the tuple-keyed kernel: {(beta power, exponents): c} dicts ---------------
+#
+# Reference versions of the packed kernel's operators, kept in the form they
+# had before the packing: every key carries its exponent tuple, and nothing
+# bounds an exponent.  All operands of one call have equal-length tuples.
+
+
+def ref_terms(f: MultiPoly) -> dict[tuple[int, tuple[int, ...]], int]:
+    return {(bp, exps): c for bp, exps, c in f.iter_beta_terms()}
+
+
+def _accumulate(out: dict, key, c: int) -> None:
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        _accumulate(out, key, c)
+    return out
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (bp1, e1), c1 in a.items():
+        for (bp2, e2), c2 in b.items():
+            _accumulate(out, (bp1 + bp2, tuple(x + y for x, y in zip(e1, e2))), c1 * c2)
+    return out
+
+
+def ref_embed(a: dict, nvars: int) -> dict:
+    return {(bp, exps + (0,) * (nvars - len(exps))): c for (bp, exps), c in a.items()}
+
+
+def ref_restrict(a: dict, nvars: int) -> dict:
+    """Set the variables beyond x_nvars to 0."""
+    out = {}
+    for (bp, exps), c in a.items():
+        tail = exps[nvars:]
+        if any(e > 0 for e in tail):
+            continue
+        if any(e < 0 for e in tail):
+            raise ValueError("restriction of a negative exponent")
+        out[(bp, exps[:nvars])] = c
+    return out
+
+
+def ref_act_si(i: int, a: dict) -> dict:
+    out = {}
+    for (bp, exps), c in a.items():
+        e = list(exps)
+        e[i - 1], e[i] = e[i], e[i - 1]
+        out[(bp, tuple(e))] = c
+    return out
+
+
+def ref_divided_diff(i: int, a: dict) -> dict:
+    out: dict = {}
+    for (bp, exps), c in a.items():
+        p, q = exps[i - 1], exps[i]
+        if p == q:
+            continue
+        lo, hi, sign = (q, p, c) if p > q else (p, q, -c)
+        base = list(exps)
+        for t in range(hi - lo):
+            base[i - 1], base[i] = hi - 1 - t, lo + t
+            _accumulate(out, (bp, tuple(base)), sign)
+    return out
+
+
+def _ref_times(i: int, a: dict, beta: int) -> dict:
+    """x_i * beta^beta * a."""
+    out = {}
+    for (bp, exps), c in a.items():
+        e = list(exps)
+        e[i - 1] += 1
+        out[(bp + beta, tuple(e))] = c
+    return out
+
+
+def ref_beta_divided_diff(i: int, a: dict) -> dict:
+    return ref_divided_diff(i, ref_add(a, _ref_times(i + 1, a, 1)))
+
+
+def ref_isobaric(i: int, a: dict) -> dict:
+    return ref_beta_divided_diff(i, _ref_times(i, a, 0))
+
+
+def ref_truncate(a: dict, max_degree: int) -> dict:
+    if any(e < 0 for _, exps in a for e in exps):
+        raise ValueError("truncate requires a polynomial")
+    return {k: c for k, c in a.items() if sum(k[1]) <= max_degree}
+
+
+def ref_set_beta(a: dict, value: BetaInt | int) -> dict:
+    v = BetaInt.of(value)
+    out: dict = {}
+    for (bp, exps), c in a.items():
+        for k, ck in enumerate((v ** bp).coeffs):
+            if ck:
+                _accumulate(out, (k, exps), c * ck)
+    return out
+
+
+def ref_scale_x_by_neg_beta(a: dict) -> dict:
+    out: dict = {}
+    for (bp, exps), c in a.items():
+        if any(e < 0 for e in exps):
+            raise ValueError("substitution requires a polynomial")
+        d = sum(exps)
+        _accumulate(out, (bp + d, exps), c * (-1) ** d)
+    return out
 
 
 def random_beta_poly(rng, nvars=3, max_deg=3, max_beta=2, terms=5,

@@ -1,6 +1,11 @@
+import hashlib
 import json
 
+import pytest
+
+import spgroth.cli as cli
 from spgroth.cli import main
+from spgroth.polyring import EXP_MAX, MultiPoly
 
 
 def run(capsys, *argv):
@@ -143,3 +148,62 @@ class TestArgparseSurface:
 
     def test_unknown_identity_exit_2(self, capsys):
         assert main(["verify", "no-such-identity", "21"]) == 2
+
+
+# stdout sha256 of cheap ops, recorded before the packed-monomial kernel;
+# every op exits 0
+PINNED_OUTPUT = [
+    ("compute groth 2143",
+     "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
+    ("compute schubert 1432",
+     "004534047ff6a26cb2e750f58f1960d0aa00e78795c2b7c7eeed1e47d845ae04"),
+    ("compute groth 31524 --format json",
+     "c7637d6ad87855ac4f9c890c2a016245a9bdf5e98e599f7eca2c012840e0832d"),
+    ("compute sp-groth 351624 --format json",
+     "0b7cc170d127c5ea2c33d3efe4a530f8484dc03f1dadc08d32781848374d3d3c"),
+    ("compute sp-groth 8,7,6,5,4,3,2,1 --format json",
+     "bc41c2dd678872d324167fb7eaf1e6b34c7dd7ac24cb794f36b3c5e1968d696f"),
+    ("compute G 2,1 --nvars 3 --maxdeg 5",
+     "1e1118871f197343bb9e89ed6dc377ccea9d4a9ae02b00c4395e15477de35bb5"),
+    ("compute GP 3,1 --nvars 3 --maxdeg 6 --format json",
+     "8ff284923ac0a15d6447473d42aa775fc0f6a15941681278bd8a1ddda3016cb6"),
+    ("compute GP-sp 351624 --nvars 3 --maxdeg 5",
+     "89ffa379ada075863403e3b7d149c4fda58d7a86b08b3330961f80ae43e5acea"),
+    ("expand groth 1432 --format json",
+     "ce9a797f47ec142acd78824e2b09a5854e4dc2b73f1f6c550444b2f1d7861579"),
+    ("expand GP 2 --basis G --nvars 4 --maxdeg 5",
+     "1d39761682ea2d021ea8a0e092a1239263820dfd2601b8a9870509053ca15621"),
+    ("expand GP-sp 4321 --format json",
+     "e9768da6fa9f405146401cfcf7a757338432903d83b3dc0a5f947423a5b39ef6"),
+    ("verify sp-transition 351624 --j 1 --k 3 --format json",
+     "da0cd3499dc0fa969c658c78a4db1ed9d03c2a7cd52e021ec3487bc9db7955b1"),
+    ("verify beta-rescale 2413 --format json",
+     "5f36745b7d8f1bb9f8b35a8fb06a4032b7592fb2b806b5c4d4977c04f7aa72f0"),
+    ("sweep sp-recurrence --rank 6",
+     "871205660a79bcd8088e4996d3308423ae1659071f91288c04f2b117951eb081"),
+    ("sweep lenart-transition --rank 4 --format json",
+     "bfae2d3480debafb45326554cd73998a03d3ce9470b2778156b5ee9ec384ac15"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("command,sha256", PINNED_OUTPUT)
+    def test_stdout_bytes(self, capsys, command, sha256):
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+class TestPackedRange:
+    def test_overflow_exits_3(self, capsys, monkeypatch):
+        # no cheap element reaches the packed exponent range, so an object
+        # whose builder multiplies past it stands in for one
+        def build(el, win):
+            return MultiPoly.x(1, 1, power=EXP_MAX) * MultiPoly.x(1, 1)
+
+        monkeypatch.setitem(cli.OBJECTS, "G", ("partition", "G", build))
+        for command in ("compute", "expand"):
+            code, out, err = run(capsys, command, "G", "1")
+            assert code == 3, command
+            assert out == ""
+            assert "outside the packed range" in err

@@ -54,6 +54,20 @@ class TestGrothendieckTable:
         with pytest.raises(ValueError):
             grothendieck(parse_permutation("321"), nvars=1)
 
+    def test_sp_nvars_embedding(self):
+        z = parse_fpf("4,3,2,1")
+        assert sp_grothendieck(z, nvars=5) == sp_grothendieck(z)
+        assert sp_grothendieck(z, nvars=3).nvars == 3
+        # below support - 1 the restriction would drop terms: 4,3,2,1 has 8
+        # terms, of which only x1^2 survives in one variable
+        for nvars in (1, 2):
+            with pytest.raises(ValueError, match="below the variables"):
+                sp_grothendieck(z, nvars=nvars)
+        w = parse_fpf("351624")
+        assert sp_grothendieck(w, nvars=5) == sp_grothendieck(w)
+        with pytest.raises(ValueError):
+            sp_grothendieck(w, nvars=4)
+
     def test_recursion_consistency(self):
         beta = MultiPoly.beta(1)
         for w in all_permutations(4):

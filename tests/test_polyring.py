@@ -9,7 +9,11 @@ from spgroth.coxeter import (
     shift_perm,
 )
 from spgroth.polyring import (
+    BETA_MAX,
+    EXP_MAX,
+    EXP_MIN,
     BetaInt,
+    ExponentRangeError,
     MultiPoly,
     act_si,
     apply_word,
@@ -21,9 +25,27 @@ from spgroth.polyring import (
     set_beta,
     symmetrize_check,
     truncate,
+    _times_x,
 )
 
-from helpers import oracle_canonical_text, random_beta_poly, symmetrize_block
+from helpers import (
+    oracle_canonical_text,
+    oracle_json_obj,
+    random_beta_poly,
+    ref_act_si,
+    ref_add,
+    ref_beta_divided_diff,
+    ref_divided_diff,
+    ref_embed,
+    ref_isobaric,
+    ref_mul,
+    ref_restrict,
+    ref_scale_x_by_neg_beta,
+    ref_set_beta,
+    ref_terms,
+    ref_truncate,
+    symmetrize_block,
+)
 
 X = MultiPoly.x
 BETA = BetaInt.beta()
@@ -40,6 +62,19 @@ def poly_strategy(nvars=3, laurent=False):
         lambda rows: sum(
             (MultiPoly.monomial(exps, coeff=c, beta_power=bp) for exps, bp, c in rows),
             MultiPoly.zero(nvars)))
+
+
+def terms_strategy(nvars, laurent=True):
+    """{(beta power, exponents): c} dicts, zero coefficients included."""
+    lo = -3 if laurent else 0
+    key = stgs.tuples(stgs.integers(0, 3), stgs.tuples(*([stgs.integers(lo, 4)] * nvars)))
+    return stgs.dictionaries(key, stgs.integers(-3, 3), max_size=6)
+
+
+def sized_terms(laurent=True):
+    """(nvars, terms) with nvars from 1 to 4."""
+    return stgs.integers(1, 4).flatmap(
+        lambda n: stgs.tuples(stgs.just(n), terms_strategy(n, laurent)))
 
 
 class TestBetaInt:
@@ -253,6 +288,170 @@ class TestTruncateAndSetBeta:
         assert got == -beta * X(1, 2) + 2 * beta * beta * X(1, 2) * X(2, 2)
 
 
+class TestPackedKernelAgainstReference:
+    """The packed kernel against the tuple-keyed operators in helpers, on
+    Laurent input and on operands of different variable counts."""
+
+    @given(sized_terms())
+    def test_round_trip(self, sized):
+        n, terms = sized
+        f = MultiPoly(n, terms)
+        assert ref_terms(f) == {k: c for k, c in terms.items() if c}
+        assert f.nvars == n
+
+    @given(sized_terms(), sized_terms())
+    def test_ring_operations(self, left, right):
+        (n1, a), (n2, b) = left, right
+        f, g = MultiPoly(n1, a), MultiPoly(n2, b)
+        n = max(n1, n2)
+        a, b = ref_embed(ref_terms(f), n), ref_embed(ref_terms(g), n)
+        minus_b = {k: -c for k, c in b.items()}
+        for got, want in ((f + g, ref_add(a, b)), (f - g, ref_add(a, minus_b)),
+                          (f * g, ref_mul(a, b)), (g * f, ref_mul(a, b))):
+            assert got.nvars == n
+            assert ref_terms(got) == want
+        assert (f == g) == (a == b)
+
+    @given(sized_terms())
+    def test_embed_and_restrict(self, sized):
+        n, terms = sized
+        f = MultiPoly(n, terms)
+        a = ref_terms(f)
+        assert ref_terms(f.embed(n + 2)) == ref_embed(a, n + 2)
+        assert f.embed(n + 2) == f
+        for m in range(1, n):
+            try:
+                want = ref_restrict(a, m)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    f.restrict(m)
+                continue
+            assert ref_terms(f.restrict(m)) == want and f.restrict(m).nvars == m
+
+    @given(sized_terms())
+    def test_operators(self, sized):
+        n, terms = sized
+        f = MultiPoly(n + 1, ref_embed(terms, n + 1))
+        a = ref_terms(f)
+        for i in range(1, n + 1):
+            assert ref_terms(act_si(i, f)) == ref_act_si(i, a)
+            assert ref_terms(divided_diff(i, f)) == ref_divided_diff(i, a)
+            assert ref_terms(beta_divided_diff(i, f)) == ref_beta_divided_diff(i, a)
+            assert ref_terms(isobaric(i, f)) == ref_isobaric(i, a)
+
+    @given(sized_terms())
+    def test_truncate_and_queries(self, sized):
+        n, terms = sized
+        f = MultiPoly(n, terms)
+        a = ref_terms(f)
+        degrees = [sum(e) for _, e in a]
+        assert f.total_degree() == max(degrees, default=0)
+        assert f.min_degree() == min(degrees, default=0)
+        assert f.has_negative_exponents() == any(e < 0 for _, exps in a for e in exps)
+        assert f.x_monomials() == {e for _, e in a}
+        for d in range(-3, 5):
+            assert ref_terms(f.degree_part(d)) == {k: c for k, c in a.items() if sum(k[1]) == d}
+            if f.has_negative_exponents():
+                with pytest.raises(ValueError):
+                    truncate(f, d)
+            else:
+                assert ref_terms(truncate(f, d)) == ref_truncate(a, d)
+        for exps in {e for _, e in a} | {(0,) * n}:
+            coeffs = [0] * 4
+            for (bp, e), c in a.items():
+                if e == exps:
+                    coeffs[bp] += c
+            assert f.coefficient(exps) == BetaInt(tuple(coeffs))
+
+    @given(sized_terms())
+    def test_substitutions(self, sized):
+        n, terms = sized
+        f = MultiPoly(n, terms)
+        a = ref_terms(f)
+        for value in (0, 1, -1, 2, BETA, BETA + 1):
+            assert ref_terms(set_beta(f, value)) == ref_set_beta(a, value)
+        if f.has_negative_exponents():
+            with pytest.raises(ValueError):
+                scale_x_by_neg_beta(f)
+        else:
+            assert ref_terms(scale_x_by_neg_beta(f)) == ref_scale_x_by_neg_beta(a)
+
+
+class TestPackedRange:
+    """Exponents and beta powers at the edges of the packed fields."""
+
+    def test_extreme_values_round_trip(self):
+        # every field at an edge, next to neighbours at the opposite edge
+        for exps in ((EXP_MAX, EXP_MIN, EXP_MAX), (EXP_MIN, EXP_MAX, EXP_MIN), (0, EXP_MAX, 0)):
+            for bp in (0, BETA_MAX):
+                f = MultiPoly(3, {(bp, exps): 5})
+                assert list(f.iter_beta_terms()) == [(bp, exps, 5)]
+                assert f.total_degree() == sum(exps)
+                assert f.has_negative_exponents() == (EXP_MIN in exps)
+
+    def test_products_reach_the_edges(self):
+        x = MultiPoly.x
+        assert x(2, 3, EXP_MAX - 1) * x(2, 3) == x(2, 3, EXP_MAX)
+        assert x(2, 3, EXP_MIN + 1) * x(2, 3, -1) == x(2, 3, EXP_MIN)
+        top = MultiPoly(2, {(BETA_MAX - 1, (0, 0)): 1}) * MultiPoly.beta(2)
+        assert list(top.iter_beta_terms()) == [(BETA_MAX, (0, 0), 1)]
+
+    def test_constructors_reject_out_of_range(self):
+        for exps in ((EXP_MAX + 1, 0), (0, EXP_MIN - 1)):
+            with pytest.raises(ExponentRangeError, match="outside the packed range"):
+                MultiPoly(2, {(0, exps): 1})
+            with pytest.raises(ExponentRangeError):
+                MultiPoly.monomial(exps)
+        for bp in (-1, BETA_MAX + 1):
+            with pytest.raises(ExponentRangeError, match=f"beta powers 0..{BETA_MAX}"):
+                MultiPoly(2, {(bp, (0, 0)): 1})
+        with pytest.raises(ExponentRangeError):
+            MultiPoly.x(1, 2, power=EXP_MAX + 1)
+        assert issubclass(ExponentRangeError, ValueError)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_overflow_raises_instead_of_wrapping(self, field):
+        # field 0 is beta, fields 1..3 are x_1..x_3; every neighbour of the
+        # overflowing field holds a value a carry or a borrow would change
+        def poly(bp, exps):
+            return MultiPoly(3, {(bp, exps): 1})
+
+        exps = [1, 2, 3]
+        if field == 0:
+            f, step = poly(BETA_MAX, tuple(exps)), MultiPoly.beta(3)
+        else:
+            exps[field - 1] = EXP_MAX
+            f, step = poly(1, tuple(exps)), MultiPoly.x(field, 3)
+        with pytest.raises(ExponentRangeError):
+            f * step
+        with pytest.raises(ExponentRangeError):
+            step * f
+        if field:
+            low = list(exps)
+            low[field - 1] = EXP_MIN
+            with pytest.raises(ExponentRangeError):
+                poly(1, tuple(low)) * MultiPoly.x(field, 3, power=-1)
+
+    def test_operators_raise_at_the_edge(self):
+        x = MultiPoly.x
+        with pytest.raises(ExponentRangeError):
+            isobaric(1, x(1, 2, EXP_MAX))           # multiplies by x_1
+        with pytest.raises(ExponentRangeError):
+            _times_x(1, x(1, 2, EXP_MAX))
+        with pytest.raises(ExponentRangeError):
+            beta_divided_diff(1, x(2, 2, EXP_MAX))  # multiplies by 1 + beta x_2
+        with pytest.raises(ExponentRangeError):
+            beta_divided_diff(1, MultiPoly(2, {(BETA_MAX, (0, 1)): 1}))
+        with pytest.raises(ExponentRangeError):
+            scale_x_by_neg_beta(MultiPoly(2, {(BETA_MAX, (1, 0)): 1}))
+        with pytest.raises(ExponentRangeError):
+            set_beta(MultiPoly(1, {(BETA_MAX, (0,)): 1}), BETA * BETA)
+        # at the edge itself they still work
+        assert scale_x_by_neg_beta(MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1})) == \
+            MultiPoly(2, {(BETA_MAX, (1, 0)): -1})
+        assert divided_diff(1, x(1, 2, EXP_MAX)).total_degree() == EXP_MAX - 1
+
+
 class TestSerialization:
     def test_canonical_text(self):
         f = oplus(X(1, 2), X(2, 2))
@@ -269,6 +468,13 @@ class TestSerialization:
              + X(2, 2, power=3) * BETA)
         assert f.canonical_text() == "[0,-2] + [1,0,3] * x1 + [0,1] * x2^3"
         assert f.canonical_text() == oracle_canonical_text(f)
+
+    @given(sized_terms())
+    def test_json_matches_term_route(self, sized):
+        f = MultiPoly(*sized)
+        assert f.to_json_obj() == oracle_json_obj(f)
+        assert [(e, c.coeffs) for e, c in f.canonical_terms()] == \
+            [(tuple(t["exps"]), tuple(t["beta"])) for t in oracle_json_obj(f)]
 
     def test_json_round_stability(self):
         f = oplus(X(1, 3), X(2, 3)) * X(3, 3)
