@@ -49,19 +49,20 @@ def _window(args) -> st.Window:
     return st.Window(args.nvars, args.maxdeg)
 
 
+# element kind -> parser of its command-line text
+PARSERS = {
+    "perm": cx.parse_permutation,
+    "fpf": cx.parse_fpf,
+    "partition": cx.parse_partition,
+    "strict": lambda text: cx.as_strict_partition(cx.parse_partition(text)),
+}
+
+
 def _parse(kind: str, text: str):
     try:
-        if kind == "perm":
-            return cx.parse_permutation(text)
-        if kind == "fpf":
-            return cx.parse_fpf(text)
-        if kind == "partition":
-            return cx.parse_partition(text)
-        if kind == "strict":
-            return cx.as_strict_partition(cx.parse_partition(text))
+        return PARSERS[kind](text)
     except ValueError as exc:
         raise _parse_error(f"cannot parse {kind} element {text!r}: {exc}") from exc
-    raise AssertionError(kind)
 
 
 def _emit_poly(f: MultiPoly, args, meta: dict) -> None:

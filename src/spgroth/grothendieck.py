@@ -154,40 +154,21 @@ def sp_dominant_poly(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
 
 
 @dataclass(frozen=True)
-class GrothExpansion:
-    terms: tuple[tuple[Permutation, BetaInt], ...]
+class Expansion:
+    """A finite basis expansion: (index, coefficient) pairs in basis order.
+    The index is a permutation for the permutation basis and a shape (a
+    tuple of parts) for the shape-indexed bases."""
 
-    def as_dict(self) -> dict[Permutation, BetaInt]:
+    terms: tuple[tuple[object, BetaInt], ...]
+
+    def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def coefficient(self, w: Permutation) -> BetaInt:
-        return self.as_dict().get(w, BetaInt())
+    def coefficient(self, index) -> BetaInt:
+        return self.as_dict().get(index, BetaInt())
 
     def is_beta_positive(self) -> bool:
         return all(c.is_nonnegative() for _, c in self.terms)
-
-    def to_poly(self, nvars: int = 1) -> MultiPoly:
-        f = MultiPoly.zero(nvars)
-        for w, c in self.terms:
-            f = f + grothendieck(w) * c
-        return f
-
-    def max_length(self) -> int:
-        return max((perm_length(w) for w, _ in self.terms), default=0)
-
-
-@dataclass(frozen=True)
-class SpGrothExpansion:
-    terms: tuple[tuple[FpfInvolution, BetaInt], ...]
-
-    def as_dict(self) -> dict[FpfInvolution, BetaInt]:
-        return dict(self.terms)
-
-    def to_poly(self, nvars: int = 1) -> MultiPoly:
-        f = MultiPoly.zero(nvars)
-        for z, c in self.terms:
-            f = f + sp_grothendieck(z) * c
-        return f
 
 
 class ExpansionDegreeError(ValueError):
@@ -255,19 +236,19 @@ def _expand_groth(f: MultiPoly, max_deg: int, censor: bool):
     return _sorted_terms(found), None
 
 
-def expand_in_grothendieck_basis(f: MultiPoly, max_deg: int) -> GrothExpansion:
+def expand_in_grothendieck_basis(f: MultiPoly, max_deg: int) -> Expansion:
     """Exact finite expansion of a polynomial in the permutation basis.
     Raises ExpansionDegreeError when the iteration climbs past max_deg."""
     terms, _ = _expand_groth(f, max_deg, censor=False)
-    return GrothExpansion(terms)
+    return Expansion(terms)
 
 
-def expand_in_grothendieck_basis_censored(f: MultiPoly, cutoff: int) -> GrothExpansion:
+def expand_in_grothendieck_basis_censored(f: MultiPoly, cutoff: int) -> Expansion:
     """Every basis coefficient for indices of length <= cutoff, discarding the
     rest of the expansion (used for degree-truncated windows, where the
     discarded terms contribute nothing)."""
     terms, _ = _expand_groth(f, cutoff, censor=True)
-    return GrothExpansion(terms)
+    return Expansion(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +264,26 @@ class TransitionCheck:
     signed_equal: bool | None = None
 
 
-def _apply_factors_perm(v: Permutation, k: int, indices) -> dict[Permutation, BetaInt]:
-    """Expansion of G_v * prod (1 + beta t) over the successive transposition
-    operators with the fixed index k."""
-    terms: dict[Permutation, BetaInt] = {v: BetaInt.of(1)}
+def _transposition_products(element, fixed: int, indices, conj) -> dict:
+    """Expansion of element * prod (1 + beta t) over the transpositions t of
+    each index in indices with the fixed index, applied in order; t acts by
+    conj(element, i, j) with i < j.  Returns {element: coefficient}."""
+    terms = {element: BetaInt.of(1)}
     for a in indices:
         new = dict(terms)
-        for u, c in terms.items():
-            t = u.times_transposition(*sorted((a, k)))
+        for y, c in terms.items():
+            t = conj(y, *sorted((a, fixed)))
             new[t] = new.get(t, BetaInt()) + c * BetaInt.beta()
         terms = new
     return terms
+
+
+def _combination(basis, terms: dict, nvars: int) -> MultiPoly:
+    """Sum of basis(index) * coefficient over the {index: coefficient} dict."""
+    f = MultiPoly.zero(nvars)
+    for index, c in terms.items():
+        f = f + basis(index) * c
+    return f
 
 
 def lenart_signed_terms(v: Permutation, k: int) -> tuple[tuple[Permutation, int, int], ...]:
@@ -329,9 +319,10 @@ def verify_lenart_transition(v: Permutation, k: int, nvars: int | None = None) -
     the signed one-variable form against (1 + beta*x_k) * G_v."""
     J, L = transition_indices_perm(v, k)
     nvars = nvars or 1
-    lhs = (_one_plus_beta_x(k, k)
-           * GrothExpansion(_sorted_terms(_apply_factors_perm(v, k, J))).to_poly(nvars))
-    rhs = GrothExpansion(_sorted_terms(_apply_factors_perm(v, k, L))).to_poly(nvars)
+    times = Permutation.times_transposition
+    left = _combination(grothendieck, _transposition_products(v, k, J, times), nvars)
+    rhs = _combination(grothendieck, _transposition_products(v, k, L, times), nvars)
+    lhs = _one_plus_beta_x(k, k) * left
 
     signed = MultiPoly.zero(nvars)
     for w, sign, power in lenart_signed_terms(v, k):
@@ -340,25 +331,15 @@ def verify_lenart_transition(v: Permutation, k: int, nvars: int | None = None) -
     return TransitionCheck(lhs, rhs, lhs == rhs, signed_equal=(signed == direct))
 
 
-def _apply_factors_fpf(v: FpfInvolution, fixed: int, indices) -> dict[FpfInvolution, BetaInt]:
-    terms: dict[FpfInvolution, BetaInt] = {v: BetaInt.of(1)}
-    for a in indices:
-        new = dict(terms)
-        for y, c in terms.items():
-            t = y.conj_transposition(*sorted((a, fixed)))
-            new[t] = new.get(t, BetaInt()) + c * BetaInt.beta()
-        terms = new
-    return terms
-
-
 def verify_sp_transition(v: FpfInvolution, j: int, k: int, nvars: int | None = None) -> TransitionCheck:
     """Check the symplectic transition identity for the 2-cycle v(j) = k."""
     if v(j) != k or not j < k:
         raise ValueError(f"need v({j}) = {k} with j < k")
     I, L = fpf_transition_indices(v, j, k)
     nvars = nvars or 1
-    left = SpGrothExpansion(tuple(_apply_factors_fpf(v, j, I).items())).to_poly(nvars)
-    rhs = SpGrothExpansion(tuple(_apply_factors_fpf(v, k, L).items())).to_poly(nvars)
+    conj = FpfInvolution.conj_transposition
+    left = _combination(sp_grothendieck, _transposition_products(v, j, I, conj), nvars)
+    rhs = _combination(sp_grothendieck, _transposition_products(v, k, L, conj), nvars)
     lhs = _one_plus_beta_x(j, j) * _one_plus_beta_x(k, k) * left
     return TransitionCheck(lhs, rhs, lhs == rhs)
 
@@ -399,7 +380,8 @@ def sp_transition_recurrence(z: FpfInvolution, nvars: int | None = None) -> Recu
     asc_plus_ok = L == (l,)
     nvars = nvars or 1
     lhs = MultiPoly.beta(nvars) * sp_grothendieck(z)
-    pi_minus = SpGrothExpansion(tuple(_apply_factors_fpf(v, j, I).items())).to_poly(nvars)
+    pi_minus = _combination(sp_grothendieck, _transposition_products(
+        v, j, I, FpfInvolution.conj_transposition), nvars)
     rhs = (_one_plus_beta_x(j, j) * _one_plus_beta_x(k, k) * pi_minus
            - sp_grothendieck(v))
     certified = asc_plus_ok and lhs == rhs

@@ -92,9 +92,15 @@ class BetaInt:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BetaInt":
-        result = BetaInt.of(1)
-        for _ in range(n):
-            result = result * self
+        if n < 0:
+            raise ValueError(f"negative power {n} of a polynomial in beta")
+        result, square = BetaInt.of(1), self
+        while n:  # square and multiply
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def is_nonnegative(self) -> bool:

@@ -10,6 +10,7 @@ window and is not reported.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 
@@ -24,9 +25,11 @@ from .coxeter import (
     reduced_word,
     sp_shape,
     strict_partitions_of,
-    visible_descents,
 )
 from .grothendieck import (
+    Expansion,
+    _combination,
+    _transposition_products,
     expand_in_grothendieck_basis_censored,
     grothendieck,
     sp_grothendieck,
@@ -64,11 +67,76 @@ class Window:
 # ---------------------------------------------------------------------------
 
 
-def _subsets_from(letters: tuple[int, ...], lo_index: int, max_size: int):
-    """Nonempty subsets of letters[lo_index:], as sorted tuples."""
-    pool = letters[lo_index:]
-    for size in range(1, min(max_size, len(pool)) + 1):
-        yield from itertools.combinations(pool, size)
+def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], primed,
+              max_weight: int):
+    """Set-valued fillings of the cells (listed so that each cell comes after
+    its left and upper neighbours) by nonempty subsets of their letter
+    pools, with at most max_weight letters in total.  Along a row
+    min(here) >= max(left), strictly when max(left) is primed; down a
+    column min(here) >= max(above), strictly unless max(above) is primed.
+    Yields per cell a sorted tuple, as a dict keyed by cell.
+
+    Iterative: a stack of per-cell subset iterators, so deep shapes need no
+    recursion."""
+    ncells = len(cells)
+    if ncells == 0:
+        yield {}
+        return
+    if max_weight < ncells:
+        return
+    index = {cell: t for t, cell in enumerate(cells)}
+    left = [index.get((i, j - 1)) for i, j in cells]
+    above = [index.get((i - 1, j)) for i, j in cells]
+    chosen: list[tuple[int, ...]] = [()] * ncells
+    used = [0] * ncells  # letters in the cells before each cell
+
+    def options(t: int):
+        lo = 0
+        if left[t] is not None:
+            m = chosen[left[t]][-1]
+            lo = m + 1 if primed(m) else m
+        if above[t] is not None:
+            m = chosen[above[t]][-1]
+            lo = max(lo, m if primed(m) else m + 1)
+        pool = pools[t][bisect_left(pools[t], lo):]
+        budget = max_weight - used[t] - (ncells - t - 1)
+        return itertools.chain.from_iterable(
+            itertools.combinations(pool, size) for size in range(1, min(budget, len(pool)) + 1))
+
+    last = ncells - 1
+    stack = [options(0)]
+    while stack:
+        t = len(stack) - 1
+        subset = next(stack[-1], None)
+        if subset is None:
+            stack.pop()
+            continue
+        chosen[t] = subset
+        if t == last:
+            yield dict(zip(cells, chosen))
+        else:
+            used[t + 1] = used[t] + len(subset)
+            stack.append(options(t + 1))
+
+
+def _tableau_series(tableaux, weight: int, nvars: int, variable: tuple[int, ...]) -> MultiPoly:
+    """Sum of beta^(letters - weight) x^content over the tableaux; letter m
+    counts towards x_(variable[m] + 1)."""
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for tab in tableaux:
+        exps = [0] * nvars
+        size = 0
+        for subset in tab.values():
+            size += len(subset)
+            for m in subset:
+                exps[variable[m]] += 1
+        key = (size - weight, tuple(exps))
+        counts[key] = counts.get(key, 0) + 1
+    return MultiPoly(nvars, counts)
+
+
+def _never_primed(m: int) -> bool:
+    return False
 
 
 def set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
@@ -78,51 +146,15 @@ def set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
     shape = as_partition(shape)
     cells = [(i, j) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
     letters = tuple(range(1, nvars + 1))
-    ncells = len(cells)
-
-    def fill(idx: int, entries: dict, used: int):
-        if idx == ncells:
-            yield dict(entries)
-            return
-        i, j = cells[idx]
-        lo = 1
-        left = entries.get((i, j - 1))
-        if left:
-            lo = max(lo, left[-1])          # row: max(left) <= min(here)
-        up = entries.get((i - 1, j))
-        if up:
-            lo = max(lo, up[-1] + 1)        # column: max(above) < min(here)
-        if lo > nvars:
-            return
-        budget = max_weight - used - (ncells - idx - 1)
-        for subset in _subsets_from(letters, lo - 1, budget):
-            entries[(i, j)] = subset
-            yield from fill(idx + 1, entries, used + len(subset))
-            del entries[(i, j)]
-
-    if ncells == 0:
-        yield {}
-        return
-    if max_weight >= ncells:
-        yield from fill(0, {}, 0)
+    yield from _fillings(cells, [letters] * len(cells), _never_primed, max_weight)
 
 
 def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """Set-valued tableau generating function for the partition shape,
     truncated at the window."""
     lam = as_partition(lam)
-    weight = sum(lam)
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for tab in set_valued_tableaux(lam, win.nvars, win.maxdeg):
-        exps = [0] * win.nvars
-        size = 0
-        for subset in tab.values():
-            size += len(subset)
-            for v in subset:
-                exps[v - 1] += 1
-        key = (size - weight, tuple(exps))
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(win.nvars, counts)
+    tableaux = set_valued_tableaux(lam, win.nvars, win.maxdeg)
+    return _tableau_series(tableaux, sum(lam), win.nvars, tuple(range(-1, win.nvars)))
 
 
 # marked letters: value v primed -> 2v - 1, unprimed -> 2v (so integer order
@@ -131,10 +163,6 @@ def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
 
 def _is_primed(m: int) -> bool:
     return m % 2 == 1
-
-
-def _letter_value(m: int) -> int:
-    return (m + 1) // 2
 
 
 def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int,
@@ -147,56 +175,17 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     cells = [(i, i + j - 1) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
     letters = tuple(range(1, 2 * nvars + 1))
     unprimed = tuple(range(2, 2 * nvars + 1, 2))
-    ncells = len(cells)
-
-    def fill(idx: int, entries: dict, used: int):
-        if idx == ncells:
-            yield dict(entries)
-            return
-        i, j = cells[idx]
-        diagonal = i == j
-        pool = letters if (diagonal_primes or not diagonal) else unprimed
-        lo = 1
-        left = entries.get((i, j - 1))
-        if left:
-            m = left[-1]
-            lo = max(lo, m if not _is_primed(m) else m + 1)
-        up = entries.get((i - 1, j))
-        if up:
-            m = up[-1]
-            lo = max(lo, m if _is_primed(m) else m + 1)
-        budget = max_weight - used - (ncells - idx - 1)
-        start = 0
-        while start < len(pool) and pool[start] < lo:
-            start += 1
-        for subset in _subsets_from(pool, start, budget):
-            entries[(i, j)] = subset
-            yield from fill(idx + 1, entries, used + len(subset))
-            del entries[(i, j)]
-
-    if ncells == 0:
-        yield {}
-        return
-    if max_weight >= ncells:
-        yield from fill(0, {}, 0)
+    pools = [letters if diagonal_primes or i != j else unprimed for i, j in cells]
+    yield from _fillings(cells, pools, _is_primed, max_weight)
 
 
 def gp_partition(lam: tuple[int, ...], win: Window, diagonal_primes: bool = False) -> MultiPoly:
     """Shifted set-valued tableau generating function for the strict shape,
     truncated at the window."""
     lam = as_strict_partition(lam)
-    weight = sum(lam)
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for tab in shifted_set_valued_tableaux(lam, win.nvars, win.maxdeg, diagonal_primes):
-        exps = [0] * win.nvars
-        size = 0
-        for subset in tab.values():
-            size += len(subset)
-            for m in subset:
-                exps[_letter_value(m) - 1] += 1
-        key = (size - weight, tuple(exps))
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(win.nvars, counts)
+    tableaux = shifted_set_valued_tableaux(lam, win.nvars, win.maxdeg, diagonal_primes)
+    variable = tuple((m + 1) // 2 - 1 for m in range(2 * win.nvars + 1))
+    return _tableau_series(tableaux, sum(lam), win.nvars, variable)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +228,8 @@ def gp_sp(z: FpfInvolution, win: Window) -> MultiPoly:
     of length above maxdeg are censored; their stable images vanish at the
     window."""
     expansion = expand_in_grothendieck_basis_censored(sp_grothendieck(z), win.maxdeg)
-    f = MultiPoly.zero(win.nvars)
-    for w, c in expansion.terms:
-        f = f + stable_groth_perm(w, win) * c
-    return win.clip(f)
+    return win.clip(_combination(lambda w: stable_groth_perm(w, win), expansion.as_dict(),
+                                 win.nvars))
 
 
 def gp_sp_stabilized(z: FpfInvolution, win: Window, max_extra: int = 8) -> MultiPoly:
@@ -293,7 +280,7 @@ def gp_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
         raise ValueError("shape has more parts than variables")
     f = apply_word("pi", _long_word(n), _gp_operand(lam, n))
     if f.has_negative_exponents():
-        raise AssertionError("isobaric image failed to be a polynomial")
+        raise RuntimeError("isobaric image failed to be a polynomial")
     return f
 
 
@@ -313,33 +300,13 @@ def sp_grassmannian_formula(z: FpfInvolution) -> MultiPoly:
         for i in range(t, phis[t - 1]):
             f = isobaric(i, f)
     if f.has_negative_exponents():
-        raise AssertionError("isobaric image failed to be a polynomial")
+        raise RuntimeError("isobaric image failed to be a polynomial")
     return f
 
 
 # ---------------------------------------------------------------------------
 # triangular expansions into the shape-indexed bases
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GLambdaExpansion:
-    terms: tuple[tuple[tuple[int, ...], BetaInt], ...]
-    window: Window
-
-    def as_dict(self):
-        return dict(self.terms)
-
-    def coefficient(self, lam) -> BetaInt:
-        return self.as_dict().get(tuple(lam), BetaInt())
-
-    def is_beta_positive(self) -> bool:
-        return all(c.is_nonnegative() for _, c in self.terms)
-
-
-@dataclass(frozen=True)
-class GPLambdaExpansion(GLambdaExpansion):
-    pass
 
 
 def _triangular_expand(f: MultiPoly, win: Window, shapes_of, basis_at_window, max_parts):
@@ -363,24 +330,24 @@ def _triangular_expand(f: MultiPoly, win: Window, shapes_of, basis_at_window, ma
     return tuple(found)
 
 
-def expand_in_G_basis(f: MultiPoly, win: Window) -> GLambdaExpansion:
+def expand_in_G_basis(f: MultiPoly, win: Window) -> Expansion:
     """Expand a window-symmetric polynomial over partition shapes.  Exact
     for shapes of size <= maxdeg with at most nvars rows."""
     if not symmetrize_check(f, win.nvars, win.maxdeg):
         raise ValueError("input is not symmetric at the window")
     terms = _triangular_expand(f, win, partitions_of,
                                lambda lam: stable_groth_partition(lam, win), win.nvars)
-    return GLambdaExpansion(terms, win)
+    return Expansion(terms)
 
 
-def expand_in_GP_basis(f: MultiPoly, win: Window) -> GPLambdaExpansion:
+def expand_in_GP_basis(f: MultiPoly, win: Window) -> Expansion:
     """Expand a window-symmetric polynomial over strict shapes.  Exact for
     shapes of size <= maxdeg with at most nvars parts."""
     if not symmetrize_check(f, win.nvars, win.maxdeg):
         raise ValueError("input is not symmetric at the window")
     terms = _triangular_expand(f, win, strict_partitions_of,
                                lambda lam: gp_partition(lam, win), win.nvars)
-    return GPLambdaExpansion(terms, win)
+    return Expansion(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +367,11 @@ def _gp_of_shifted(z: ShiftedFpfInvolution, win: Window) -> MultiPoly:
     # the stable series is invariant under the even shift, so the smallest
     # positive representative stands in for the Z-indexed involution
     return gp_sp(z.normalized().base, win)
+
+
+def _gp_combination(terms: dict, win: Window) -> MultiPoly:
+    """Window value of the sum of c * (series of y) over {y: c}."""
+    return win.clip(_combination(lambda y: _gp_of_shifted(y, win), terms, win.nvars))
 
 
 def _shifted_cover_list_below(v: ShiftedFpfInvolution, j: int) -> tuple[int, ...]:
@@ -422,20 +394,10 @@ def verify_stable_sp_transition(v: ShiftedFpfInvolution, j: int, k: int, win: Wi
     the window values of both operator products."""
     if v.value(j) != k or not j < k:
         raise ValueError(f"need v({j}) = {k} with j < k")
-    I = _shifted_cover_list_below(v, j)
-    L = _shifted_cover_list_above(v, k)
-
-    def side(indices, fixed):
-        terms: list[tuple[ShiftedFpfInvolution, int]] = [(v, 0)]
-        for a in indices:
-            terms = terms + [(y.conj_transposition(*sorted((a, fixed))), p + 1)
-                             for y, p in terms]
-        f = MultiPoly.zero(win.nvars)
-        for y, p in terms:
-            f = f + _gp_of_shifted(y, win) * (BetaInt.beta() ** p)
-        return win.clip(f)
-
-    return side(I, j) == side(L, k)
+    conj = ShiftedFpfInvolution.conj_transposition
+    lhs = _transposition_products(v, j, _shifted_cover_list_below(v, j), conj)
+    rhs = _transposition_products(v, k, _shifted_cover_list_above(v, k), conj)
+    return _gp_combination(lhs, win) == _gp_combination(rhs, win)
 
 
 @dataclass(frozen=True)
@@ -446,7 +408,7 @@ class GPRecurrenceCertificate:
     k: int
     l: int
     i_list: tuple[int, ...]
-    terms: tuple[tuple[tuple[int, ...], ShiftedFpfInvolution, int], ...]
+    terms: tuple[tuple[ShiftedFpfInvolution, BetaInt], ...]
     verified: bool
 
 
@@ -454,7 +416,8 @@ def gp_sp_positive_recurrence(z: ShiftedFpfInvolution | FpfInvolution,
                               win: Window) -> GPRecurrenceCertificate:
     """Positive recurrence at the last visible descent: the stable series of
     z is the sum over nonempty subsets A of the downward cover list of
-    beta^(|A|-1) times the series of the A-shifted involution."""
+    beta^(|A|-1) times the series of the A-shifted involution.  The
+    certificate lists each shifted involution with its summed coefficient."""
     if isinstance(z, FpfInvolution):
         z = ShiftedFpfInvolution(z)
     descents = z.visible_descents()
@@ -466,14 +429,9 @@ def gp_sp_positive_recurrence(z: ShiftedFpfInvolution | FpfInvolution,
     v = z.conj_transposition(k, l)
     j = v.value(k)
     I = _shifted_cover_list_below(v, j)
-    terms = []
-    total = MultiPoly.zero(win.nvars)
-    for size in range(1, len(I) + 1):
-        for subset in itertools.combinations(I, size):
-            y = v
-            for a in subset:
-                y = y.conj_transposition(*sorted((a, j)))
-            terms.append((subset, y, size - 1))
-            total = total + _gp_of_shifted(y, win) * (BetaInt.beta() ** (size - 1))
-    verified = win.clip(total) == _gp_of_shifted(z, win)
-    return GPRecurrenceCertificate(z, v, j, k, l, I, tuple(terms), verified)
+    # (prod - 1) / beta: drop the empty subset, then one beta from each term
+    terms = _transposition_products(v, j, I, ShiftedFpfInvolution.conj_transposition)
+    terms[v] -= 1
+    terms = {y: BetaInt(c.coeffs[1:]) for y, c in terms.items() if c}
+    verified = _gp_combination(terms, win) == _gp_of_shifted(z, win)
+    return GPRecurrenceCertificate(z, v, j, k, l, I, tuple(terms.items()), verified)

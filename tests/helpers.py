@@ -333,3 +333,24 @@ LENART_13452_SIGNED = {
     ((3, 4, 2, 5, 1), 1, 3),
     ((3, 4, 5, 2, 1), 1, 4),
 }
+
+
+def oracle_tableaux(cells, pools, max_weight: int, row_ok, col_ok) -> list[tuple]:
+    """Every filling of the cells by nonempty subsets of their pools with at
+    most max_weight letters, such that row_ok(a, b) holds for each letter a
+    of a cell and b of its right neighbour, and col_ok(a, b) for each letter
+    a of a cell and b of the cell below.  Each filling is a tuple of
+    (cell, sorted letters) pairs in cell order."""
+    choices = [[c for size in range(1, len(pool) + 1) for c in itertools.combinations(pool, size)]
+               for pool in pools]
+    out = []
+    for filling in itertools.product(*choices):
+        if sum(map(len, filling)) > max_weight:
+            continue
+        entries = dict(zip(cells, filling))
+        if all(row_ok(a, b) for (i, j), here in entries.items()
+               for a in entries.get((i, j - 1), ()) for b in here) and \
+                all(col_ok(a, b) for (i, j), here in entries.items()
+                    for a in entries.get((i - 1, j), ()) for b in here):
+            out.append(tuple(entries.items()))
+    return out

@@ -46,6 +46,14 @@ class TestCompute:
         assert code == 0
         assert out.strip() == "[1]"
 
+    def test_deep_shapes(self, capsys):
+        # one row of 1500 cells: more cells than the interpreter's frames
+        for obj in ("G", "GP"):
+            code, out, err = run(capsys, "compute", obj, "1500", "--nvars", "1",
+                                 "--maxdeg", "1500")
+            assert code == 0, err
+            assert out == "[1] * x1^1500\n"
+
 
 class TestExpand:
     def test_default_basis_inference(self, capsys):
@@ -150,8 +158,9 @@ class TestArgparseSurface:
         assert main(["verify", "no-such-identity", "21"]) == 2
 
 
-# stdout sha256 of cheap ops, recorded before the packed-monomial kernel;
-# every op exits 0
+# stdout sha256 of cheap ops, recorded before the packed-monomial kernel
+# (the last four before the tableau engine and the expansion classes were
+# merged); every op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -183,6 +192,14 @@ PINNED_OUTPUT = [
      "871205660a79bcd8088e4996d3308423ae1659071f91288c04f2b117951eb081"),
     ("sweep lenart-transition --rank 4 --format json",
      "bfae2d3480debafb45326554cd73998a03d3ce9470b2778156b5ee9ec384ac15"),
+    ("sweep stable-sp-transition --rank 4 --format json",
+     "5f67d2cfa3ec9b440add41f5c23a524f6cbce6a0526f2365e423e2571140a05d"),
+    ("sweep f-grass --rank 6",
+     "3129d1c8b3a1bf82b54ae6adab6c88e062dd4116c2a22b42415900f7103c4766"),
+    ("expand G 3,2 --nvars 4 --maxdeg 7 --format json",
+     "d94fec281e8431cd3c4a5a93cf3884ae47a69f37ff4d738509f761af9506de8e"),
+    ("compute GP 3,2,1 --nvars 3 --maxdeg 8 --format json",
+     "8ec86482087d32f6e62a0239ddf9b18c7e05ca709f90d499d2c6c9779b7621f9"),
 ]
 
 

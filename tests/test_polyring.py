@@ -88,6 +88,14 @@ class TestBetaInt:
         assert BetaInt((1, 0, 0)).coeffs == (1,)
         assert (BETA ** 3).coeffs == (0, 0, 0, 1)
 
+    def test_power_by_squaring(self):
+        assert BetaInt.beta() ** 20000 == BetaInt((0,) * 20000 + (1,))
+        assert (BetaInt((1, 1)) ** 5).coeffs == (1, 5, 10, 10, 5, 1)
+        assert BetaInt((2, -1)) ** 0 == BetaInt.of(1)
+        assert BetaInt() ** 3 == BetaInt()
+        with pytest.raises(ValueError):
+            BETA ** -1
+
     def test_bracket(self):
         assert BetaInt((1, 2)).bracket() == "[1,2]"
         assert BetaInt().bracket() == "[0]"

@@ -32,7 +32,7 @@ from spgroth.stable import (
     verify_stable_sp_transition,
 )
 
-from helpers import poly_from_beta_terms
+from helpers import oracle_tableaux, poly_from_beta_terms
 
 X = MultiPoly.x
 THETA = FpfInvolution.theta_involution()
@@ -117,6 +117,56 @@ class TestSetValuedTableaux:
         tabs = set(tuple(sorted(t.items())) for t in set_valued_tableaux((2,), 2, 4))
         assert ((((1, 1), (1,)), ((1, 2), (1,)))) in tabs
         assert ((((1, 1), (1,)), ((1, 2), (1, 2)))) in tabs
+
+
+def _rows(shape):
+    return [(i, j) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
+
+
+def _shifted_rows(shape):
+    return [(i, i + j - 1) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
+
+
+def _marked_le(a, b):
+    # a <= b, and equal only when unprimed (odd letters are primed)
+    return a < b or (a == b and a % 2 == 0)
+
+
+def _marked_col(a, b):
+    return a < b or (a == b and a % 2 == 1)
+
+
+class TestTableauEngineAgainstBruteForce:
+    """Both tableau generators against every filling that passes the pairwise
+    letter rules, including shapes too small for the weight bound."""
+
+    def test_ordinary(self):
+        for shape in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1),
+                      (2, 1, 1)]:
+            cells = _rows(shape)
+            for nvars in (1, 2, 3):
+                pool = tuple(range(1, nvars + 1))
+                for max_weight in range(max(len(cells) - 1, 0), len(cells) + 3):
+                    got = sorted(tuple(t.items())
+                                 for t in set_valued_tableaux(shape, nvars, max_weight))
+                    want = sorted(oracle_tableaux(cells, [pool] * len(cells), max_weight,
+                                                  lambda a, b: a <= b, lambda a, b: a < b))
+                    assert got == want, (shape, nvars, max_weight)
+
+    def test_shifted(self):
+        for shape in [(), (1,), (2,), (3,), (2, 1), (4,), (3, 1)]:
+            cells = _shifted_rows(shape)
+            for nvars in (1, 2):
+                for diagonal_primes in (False, True):
+                    pools = [tuple(m for m in range(1, 2 * nvars + 1)
+                                   if diagonal_primes or i != j or m % 2 == 0)
+                             for i, j in cells]
+                    for max_weight in range(max(len(cells) - 1, 0), len(cells) + 3):
+                        got = sorted(tuple(t.items()) for t in shifted_set_valued_tableaux(
+                            shape, nvars, max_weight, diagonal_primes))
+                        want = sorted(oracle_tableaux(cells, pools, max_weight,
+                                                      _marked_le, _marked_col))
+                        assert got == want, (shape, nvars, diagonal_primes, max_weight)
 
 
 class TestStableGrothPartition:
@@ -392,8 +442,19 @@ class TestPositiveRecurrence:
         win = Window(3, 4)
         cert = gp_sp_positive_recurrence(parse_fpf("3412"), win)
         assert cert.verified
-        assert len(cert.terms) >= 1
-        assert all(c == 0 or True for _, _, c in cert.terms)
+        assert len(cert.terms) == 1
+        assert cert.terms[0][1] == BetaInt.of(1)
+
+    def test_beta_power_is_subset_size_minus_one(self):
+        # two downward covers: each alone gives coefficient 1, both give beta
+        cert = gp_sp_positive_recurrence(parse_fpf("35172846"), Window(2, 3))
+        assert cert.verified
+        assert cert.i_list == (2, 3)
+        assert dict(cert.terms) == {
+            ShiftedFpfInvolution(parse_fpf("361542")): BetaInt.of(1),
+            ShiftedFpfInvolution(parse_fpf("456123")): BetaInt.of(1),
+            ShiftedFpfInvolution(parse_fpf("465132")): BetaInt.beta(),
+        }
 
     def test_4321(self):
         cert = gp_sp_positive_recurrence(parse_fpf("4321"), Window(3, 5))
