@@ -13,7 +13,6 @@ import sys
 from . import coxeter as cx
 from . import stable as st
 from .grothendieck import (
-    ExpansionDegreeError,
     beta_rescale_check,
     expand_in_grothendieck_basis,
     grothendieck,
@@ -119,20 +118,17 @@ def cmd_expand(args) -> int:
 
     meta = {"command": "expand", "object": obj, "element": args.element, "basis": basis,
             "window": {"nvars": win.nvars, "maxdeg": win.maxdeg}}
-    try:
-        if basis == "groth":
-            exp = expand_in_grothendieck_basis(f, args.max_expansion_degree)
-            rows = _expansion_rows(exp.terms, lambda w: cx.format_word(w.oneline))
-        elif basis == "G":
-            exp = st.expand_in_G_basis(f, win)
-            rows = _expansion_rows(exp.terms, cx.format_partition)
-            meta["censored_beyond"] = {"size": win.maxdeg, "rows": win.nvars}
-        else:
-            exp = st.expand_in_GP_basis(f, win)
-            rows = _expansion_rows(exp.terms, cx.format_partition)
-            meta["censored_beyond"] = {"size": win.maxdeg, "parts": win.nvars}
-    except (ExpansionDegreeError, ValueError) as exc:
-        raise _precondition_error(str(exc)) from exc
+    if basis == "groth":
+        exp = expand_in_grothendieck_basis(f, args.max_expansion_degree)
+        rows = _expansion_rows(exp.terms, lambda w: cx.format_word(w.oneline))
+    elif basis == "G":
+        exp = st.expand_in_G_basis(f, win)
+        rows = _expansion_rows(exp.terms, cx.format_partition)
+        meta["censored_beyond"] = {"size": win.maxdeg, "rows": win.nvars}
+    else:
+        exp = st.expand_in_GP_basis(f, win)
+        rows = _expansion_rows(exp.terms, cx.format_partition)
+        meta["censored_beyond"] = {"size": win.maxdeg, "parts": win.nvars}
     _emit_expansion(rows, args, meta)
     return 0
 
@@ -148,37 +144,23 @@ def _run_verify(name: str, args) -> tuple[bool, str]:
     if name == "sp-transition":
         if args.j is None or args.k is None:
             raise _precondition_error("sp-transition needs --j and --k")
-        v = _parse("fpf", args.element)
-        try:
-            chk = verify_sp_transition(v, args.j, args.k)
-        except ValueError as exc:
-            raise _precondition_error(str(exc)) from exc
+        chk = verify_sp_transition(_parse("fpf", args.element), args.j, args.k)
         return chk.equal, f"lhs = {chk.lhs.canonical_text()}\nrhs = {chk.rhs.canonical_text()}"
     if name == "sp-recurrence":
-        z = _parse("fpf", args.element)
-        try:
-            chk = sp_transition_recurrence(z)
-        except ValueError as exc:
-            raise _precondition_error(str(exc)) from exc
+        chk = sp_transition_recurrence(_parse("fpf", args.element))
         return chk.certified, f"lhs = {chk.lhs.canonical_text()}\nrhs = {chk.rhs.canonical_text()}"
     if name == "f-grass":
         z = _parse("fpf", args.element)
-        try:
-            if cx.is_fpf_grassmannian(z) is None:
-                raise ValueError(f"{z!r} is not FPF-Grassmannian")
-            lhs = st.gp_sp(z, win)
-            rhs = st.gp_partition(cx.sp_shape(z), win)
-        except ValueError as exc:
-            raise _precondition_error(str(exc)) from exc
+        if cx.is_fpf_grassmannian(z) is None:
+            raise _precondition_error(f"{z!r} is not FPF-Grassmannian")
+        lhs = st.gp_sp(z, win)
+        rhs = st.gp_partition(cx.sp_shape(z), win)
         return lhs == rhs, f"lhs = {lhs.canonical_text()}\nrhs = {rhs.canonical_text()}"
     if name == "stable-sp-transition":
         if args.j is None or args.k is None:
             raise _precondition_error("stable-sp-transition needs --j and --k")
-        try:
-            z = cx.ShiftedFpfInvolution(_parse("fpf", args.element), args.offset)
-            ok = st.verify_stable_sp_transition(z, args.j, args.k, win)
-        except ValueError as exc:
-            raise _precondition_error(str(exc)) from exc
+        z = cx.ShiftedFpfInvolution(_parse("fpf", args.element), args.offset)
+        ok = st.verify_stable_sp_transition(z, args.j, args.k, win)
         return ok, f"window nvars={win.nvars} maxdeg={win.maxdeg}"
     if name == "beta-rescale":
         return beta_rescale_check(_parse("perm", args.element)), ""

@@ -13,6 +13,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -53,15 +54,6 @@ class Permutation:
     def s(i: int) -> "Permutation":
         """The simple transposition exchanging i and i+1."""
         return Permutation.from_oneline(list(range(1, i)) + [i + 1, i])
-
-    @staticmethod
-    def transposition(i: int, j: int) -> "Permutation":
-        if i == j:
-            raise ValueError("transposition needs distinct indices")
-        i, j = min(i, j), max(i, j)
-        word = list(range(1, j + 1))
-        word[i - 1], word[j - 1] = j, i
-        return Permutation.from_oneline(word)
 
     @staticmethod
     def longest(n: int) -> "Permutation":
@@ -289,10 +281,9 @@ class FpfInvolution:
 
 
 def fpf_length(z: FpfInvolution) -> int:
-    """Number of pairs (i, j) with z(i) > z(j) < i < j."""
-    n = z.support
-    return sum(1 for j in range(1, n + 1) for i in range(1, j)
-               if z(j) < i and z(i) > z(j))
+    """Number of pairs (i, j) with z(i) > z(j) < i < j: the cells of the
+    diagram."""
+    return len(sp_rothe_diagram(z))
 
 
 def fpf_cover_up(y: FpfInvolution, i: int, j: int) -> bool:
@@ -340,19 +331,16 @@ def visible_descents(z: FpfInvolution) -> tuple[int, ...]:
 
 
 def sp_rothe_diagram(z: FpfInvolution) -> frozenset[tuple[int, int]]:
-    """Cells (i, z(j)) over the pairs counted by fpf_length."""
+    """Cells (i, z(j)) over the pairs (i, j) with z(i) > z(j) < i < j."""
     n = z.support
     return frozenset((i, z(j)) for j in range(1, n + 1) for i in range(1, j)
                      if z(j) < i and z(i) > z(j))
 
 
 def sp_code(z: FpfInvolution) -> tuple[int, ...]:
-    n = z.support
-    code = [sum(1 for j in range(i + 1, n + 1) if z(j) < min(i, z(i)))
-            for i in range(1, n + 1)]
-    while code and code[-1] == 0:
-        code.pop()
-    return tuple(code)
+    """Row counts of the diagram, without trailing zeros."""
+    rows = Counter(i for i, _ in sp_rothe_diagram(z))
+    return tuple(rows[i] for i in range(1, max(rows, default=0) + 1))
 
 
 def sp_shape(z: FpfInvolution) -> tuple[int, ...]:
@@ -476,7 +464,8 @@ def all_fpf_involutions(n: int):
 class ShiftedFpfInvolution:
     """A Z-indexed fpf involution written as a positive-support involution
     shifted left by an even offset: value(i) = base(i + offset) - offset,
-    acting as i -> i - (-1)^i far below the support."""
+    acting as i -> i - (-1)^i far below the support.  Transition machinery
+    runs on the positive representatives given by with_headroom."""
 
     base: FpfInvolution
     offset: int = 0
@@ -491,9 +480,6 @@ class ShiftedFpfInvolution:
     def min_support(self) -> int:
         return 1 - self.offset
 
-    def max_support(self) -> int:
-        return max(self.base.support - self.offset, self.min_support())
-
     def with_headroom(self, lowest_index: int) -> tuple[FpfInvolution, int]:
         """A positive representative: (y, d) with value(i) = y(i + d) - d and
         lowest_index + d >= 1."""
@@ -504,24 +490,14 @@ class ShiftedFpfInvolution:
             d += extra
         return shift_fpf((d - self.offset) // 2, self.base), d
 
-    def visible_descents(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.min_support(), self.max_support() + 1)
-                     if self.value(i + 1) < min(i, self.value(i)))
-
-    def cover_up(self, i: int, j: int) -> bool:
-        y, d = self.with_headroom(min(i, j) - 2)
-        return fpf_cover_up(y, i + d, j + d)
-
-    def conj_transposition(self, i: int, j: int) -> "ShiftedFpfInvolution":
-        y, d = self.with_headroom(min(i, j))
-        return ShiftedFpfInvolution(y.conj_transposition(i + d, j + d), d).normalized()
-
     def normalized(self) -> "ShiftedFpfInvolution":
+        """The representative of least offset; the base involution theta
+        has offset 0."""
         base, off = self.base, self.offset
         while off >= 2 and base.oneline[:2] == (2, 1):
             base = FpfInvolution.from_oneline(v - 2 for v in base.oneline[2:])
             off -= 2
-        return ShiftedFpfInvolution(base, off)
+        return ShiftedFpfInvolution(base, off if base.oneline else 0)
 
     def __repr__(self) -> str:
         return f"ShiftedFpfInvolution({self.base!r}, offset={self.offset})"

@@ -357,15 +357,10 @@ class RecurrenceCheck:
     rhs: MultiPoly
 
 
-def sp_transition_recurrence(z: FpfInvolution, nvars: int | None = None) -> RecurrenceCheck:
-    """Descend from z at its last visible descent k: with l the largest index
-    beyond k mapped under min(k, z(k)), v = (k,l)z(k,l) and j = v(k), certify
-
-        beta * [z-polynomial] = (1+beta x_j)(1+beta x_k) *
-            [v-polynomial through the i-factors] - [v-polynomial]
-
-    and that the upward index list of (v, j, k) is exactly {l}.
-    """
+def _recurrence_step(z: FpfInvolution) -> tuple[int, int, FpfInvolution, int]:
+    """The descent step at the last visible descent k of z: (k, l, v, j) with
+    l the largest index beyond k mapped under min(k, z(k)), v = (k,l)z(k,l)
+    and j = v(k) < k."""
     descents = visible_descents(z)
     if not descents:
         raise ValueError("the base involution admits no recurrence step")
@@ -376,6 +371,19 @@ def sp_transition_recurrence(z: FpfInvolution, nvars: int | None = None) -> Recu
     j = v(k)
     if v(j) != k or not j < k:
         raise RuntimeError(f"no 2-cycle (j, {k}) with j < {k} below {z!r}")
+    return k, l, v, j
+
+
+def sp_transition_recurrence(z: FpfInvolution, nvars: int | None = None) -> RecurrenceCheck:
+    """Descend from z by the step (k, l, v, j) at its last visible descent
+    k (see _recurrence_step) and certify
+
+        beta * [z-polynomial] = (1+beta x_j)(1+beta x_k) *
+            [v-polynomial through the i-factors] - [v-polynomial]
+
+    and that the upward index list of (v, j, k) is exactly {l}.
+    """
+    k, l, v, j = _recurrence_step(z)
     I, L = fpf_transition_indices(v, j, k)
     asc_plus_ok = L == (l,)
     nvars = nvars or 1

@@ -20,6 +20,7 @@ from .coxeter import (
     ShiftedFpfInvolution,
     as_partition,
     as_strict_partition,
+    fpf_transition_indices,
     is_fpf_grassmannian,
     partitions_of,
     reduced_word,
@@ -29,6 +30,7 @@ from .coxeter import (
 from .grothendieck import (
     Expansion,
     _combination,
+    _recurrence_step,
     _transposition_products,
     expand_in_grothendieck_basis_censored,
     grothendieck,
@@ -374,30 +376,27 @@ def _gp_combination(terms: dict, win: Window) -> MultiPoly:
     return win.clip(_combination(lambda y: _gp_of_shifted(y, win), terms, win.nvars))
 
 
-def _shifted_cover_list_below(v: ShiftedFpfInvolution, j: int) -> tuple[int, ...]:
-    """All integers i < j (possibly nonpositive) with a cover at (i, j);
-    below two steps under the support everything acts like the base point
-    and covers stop."""
-    lo = v.min_support() - 2
-    return tuple(i for i in range(lo, j) if v.cover_up(i, j))
-
-
-def _shifted_cover_list_above(v: ShiftedFpfInvolution, k: int) -> tuple[int, ...]:
-    y, d = v.with_headroom(k)
-    k_pos = k + d
-    m = max(y.support, k_pos + (k_pos % 2))
-    return tuple(l for l in range(m + 1 - d, k, -1) if v.cover_up(k, l))
+def _unframe(terms: dict, d: int) -> dict:
+    """Read {u: c} over a frame of offset d as Z-indexed involutions."""
+    return {ShiftedFpfInvolution(u, d).normalized(): c for u, c in terms.items()}
 
 
 def verify_stable_sp_transition(v: ShiftedFpfInvolution, j: int, k: int, win: Window) -> bool:
     """Stable two-sided transition for a Z-indexed 2-cycle v(j) = k: compare
-    the window values of both operator products."""
+    the window values of both operator products.
+
+    The products are the finite ones on a frame, a positive representative
+    with two spare indices below both j and the support; covers reach no
+    further down, and the stable series ignores the shift."""
     if v.value(j) != k or not j < k:
         raise ValueError(f"need v({j}) = {k} with j < k")
-    conj = ShiftedFpfInvolution.conj_transposition
-    lhs = _transposition_products(v, j, _shifted_cover_list_below(v, j), conj)
-    rhs = _transposition_products(v, k, _shifted_cover_list_above(v, k), conj)
-    return _gp_combination(lhs, win) == _gp_combination(rhs, win)
+    y, d = v.with_headroom(min(j, v.min_support()) - 2)
+    I, L = fpf_transition_indices(y, j + d, k + d)
+    conj = FpfInvolution.conj_transposition
+    lhs = _transposition_products(y, j + d, I, conj)
+    rhs = _transposition_products(y, k + d, L, conj)
+    return (_gp_combination(_unframe(lhs, d), win)
+            == _gp_combination(_unframe(rhs, d), win))
 
 
 @dataclass(frozen=True)
@@ -417,21 +416,21 @@ def gp_sp_positive_recurrence(z: ShiftedFpfInvolution | FpfInvolution,
     """Positive recurrence at the last visible descent: the stable series of
     z is the sum over nonempty subsets A of the downward cover list of
     beta^(|A|-1) times the series of the A-shifted involution.  The
-    certificate lists each shifted involution with its summed coefficient."""
+    certificate lists each shifted involution with its summed coefficient.
+
+    The descent step and the cover list are the finite ones on a frame with
+    two spare indices below the support; the certificate reads them back on
+    Z."""
     if isinstance(z, FpfInvolution):
         z = ShiftedFpfInvolution(z)
-    descents = z.visible_descents()
-    if not descents:
-        raise ValueError("the base involution admits no recurrence step")
-    k = descents[-1]
-    bound = min(k, z.value(k))
-    l = max(t for t in range(k + 1, z.max_support() + 1) if z.value(t) < bound)
-    v = z.conj_transposition(k, l)
-    j = v.value(k)
-    I = _shifted_cover_list_below(v, j)
+    y, d = z.with_headroom(z.min_support() - 2)
+    k, l, v, j = _recurrence_step(y)
+    I, _ = fpf_transition_indices(v, j, k)
     # (prod - 1) / beta: drop the empty subset, then one beta from each term
-    terms = _transposition_products(v, j, I, ShiftedFpfInvolution.conj_transposition)
+    terms = _transposition_products(v, j, I, FpfInvolution.conj_transposition)
     terms[v] -= 1
-    terms = {y: BetaInt(c.coeffs[1:]) for y, c in terms.items() if c}
+    terms = _unframe({u: BetaInt(c.coeffs[1:]) for u, c in terms.items() if c}, d)
     verified = _gp_combination(terms, win) == _gp_of_shifted(z, win)
-    return GPRecurrenceCertificate(z, v, j, k, l, I, tuple(terms.items()), verified)
+    return GPRecurrenceCertificate(
+        z, ShiftedFpfInvolution(v, d).normalized(), j - d, k - d, l - d,
+        tuple(i - d for i in I), tuple(terms.items()), verified)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from spgroth.coxeter import FpfInvolution, Permutation, theta
+from spgroth.coxeter import FpfInvolution, Permutation, ShiftedFpfInvolution, fpf_cover_up, theta
 from spgroth.polyring import BetaInt, MultiPoly, beta_divided_diff, oplus
 
 
@@ -354,3 +354,62 @@ def oracle_tableaux(cells, pools, max_weight: int, row_ok, col_ok) -> list[tuple
                     for a in entries.get((i - 1, j), ()) for b in here):
             out.append(tuple(entries.items()))
     return out
+
+
+# Z-indexed transition machinery computed on the shifted involution itself,
+# one cover test and one conjugation at a time.  The downward list scans from
+# two steps under the support whatever j is, so it misses the cover at j - 1
+# when j lies further down; it is an oracle for j >= v.min_support() - 1.
+
+
+def oracle_shifted_cover_up(v: ShiftedFpfInvolution, i: int, j: int) -> bool:
+    y, d = v.with_headroom(min(i, j) - 2)
+    return fpf_cover_up(y, i + d, j + d)
+
+
+def oracle_shifted_conj(v: ShiftedFpfInvolution, i: int, j: int) -> ShiftedFpfInvolution:
+    y, d = v.with_headroom(min(i, j))
+    return ShiftedFpfInvolution(y.conj_transposition(i + d, j + d), d).normalized()
+
+
+def oracle_shifted_cover_list_below(v: ShiftedFpfInvolution, j: int) -> tuple[int, ...]:
+    lo = v.min_support() - 2
+    return tuple(i for i in range(lo, j) if oracle_shifted_cover_up(v, i, j))
+
+
+def oracle_shifted_cover_list_above(v: ShiftedFpfInvolution, k: int) -> tuple[int, ...]:
+    y, d = v.with_headroom(k)
+    k_pos = k + d
+    m = max(y.support, k_pos + (k_pos % 2))
+    return tuple(l for l in range(m + 1 - d, k, -1) if oracle_shifted_cover_up(v, k, l))
+
+
+def oracle_shifted_products(v: ShiftedFpfInvolution, fixed: int, indices) -> dict:
+    """{involution: coefficient} of v * prod (1 + beta t) over the
+    transpositions t of each index with the fixed index, in order."""
+    terms = {v: BetaInt.of(1)}
+    for a in indices:
+        new = dict(terms)
+        for y, c in terms.items():
+            t = oracle_shifted_conj(y, *sorted((a, fixed)))
+            new[t] = new.get(t, BetaInt()) + c * BetaInt.beta()
+        terms = new
+    return terms
+
+
+def oracle_positive_recurrence(z: ShiftedFpfInvolution) -> tuple:
+    """(v, j, k, l, i_list, terms) of the positive recurrence at the last
+    visible descent of z, on Z: the fields of its certificate but the
+    verdict."""
+    top = max(z.base.support - z.offset, z.min_support())
+    k = max(i for i in range(z.min_support(), top + 1)
+            if z.value(i + 1) < min(i, z.value(i)))
+    bound = min(k, z.value(k))
+    l = max(t for t in range(k + 1, top + 1) if z.value(t) < bound)
+    v = oracle_shifted_conj(z, k, l)
+    j = v.value(k)
+    I = oracle_shifted_cover_list_below(v, j)
+    terms = oracle_shifted_products(v, j, I)
+    terms[v] -= 1
+    terms = {y: BetaInt(c.coeffs[1:]) for y, c in terms.items() if c}
+    return v, j, k, l, I, tuple(terms.items())

@@ -113,6 +113,12 @@ class TestVerify:
                            "--j", "1", "--k", "3", "--nvars", "3", "--maxdeg", "4")
         assert code == 0 and out.strip() == "PASS"
 
+    def test_stable_transition_below_support(self, capsys):
+        for element, j in (("-", -1), ("-", -3), ("3412", -1), ("351624", -1)):
+            code, out, _ = run(capsys, "verify", "stable-sp-transition", element,
+                               f"--j={j}", f"--k={j + 1}", "--nvars", "3", "--maxdeg", "4")
+            assert (code, out) == (0, "PASS\n"), (element, j)
+
     def test_json_result(self, capsys):
         code, out, _ = run(capsys, "verify", "sp-recurrence", "3412", "--format", "json")
         assert code == 0
@@ -224,3 +230,22 @@ class TestPackedRange:
             assert code == 3, command
             assert out == ""
             assert "outside the packed range" in err
+
+
+# stdout, stderr and exit code of precondition failures, recorded while the
+# CLI still turned each ValueError into its own error
+PINNED_ERRORS = [
+    ("expand groth 4321 --max-expansion-degree 2",
+     "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
+    ("verify sp-recurrence -", "error: the base involution admits no recurrence step\n"),
+    ("verify f-grass 654321", "error: FpfInvolution(654321) is not FPF-Grassmannian\n"),
+    ("verify stable-sp-transition 3412 --j=-1 --k=0 --offset 2",
+     "error: need v(-1) = 0 with j < k\n"),
+    ("expand sp-groth 4321 --basis G", "error: input is not symmetric at the window\n"),
+]
+
+
+class TestPinnedErrors:
+    @pytest.mark.parametrize("command,stderr", PINNED_ERRORS)
+    def test_exit_3(self, capsys, command, stderr):
+        assert run(capsys, *command.split()) == (3, "", stderr)

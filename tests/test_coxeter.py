@@ -289,6 +289,16 @@ class TestDiagramCodeShape:
             assert len(sp_rothe_diagram(z)) == fpf_length(z)
             assert sum(sp_code(z)) == fpf_length(z)
 
+    def test_code_and_length_count_pairs(self):
+        for z in all_fpf_involutions(8):
+            n = z.support
+            code = [sum(1 for j in range(i + 1, n + 1) if z(j) < min(i, z(i)))
+                    for i in range(1, n + 1)]
+            while code and code[-1] == 0:
+                code.pop()
+            assert sp_code(z) == tuple(code)
+            assert fpf_length(z) == oracle_fpf_length(z)
+
     def test_transpose(self):
         assert transpose_partition((2, 2, 1)) == (3, 2)
         assert transpose_partition(()) == ()
@@ -384,20 +394,9 @@ class TestShiftedInvolution:
         v = ShiftedFpfInvolution(shift_fpf(1, parse_fpf("3412")), 2)
         assert v.normalized() == ShiftedFpfInvolution(parse_fpf("3412"), 0)
 
-    def test_visible_descents_match_unshifted(self):
-        for z in all_fpf_involutions(6):
-            vd = visible_descents(z)
-            shifted = ShiftedFpfInvolution(shift_fpf(1, z), 2)
-            assert shifted.visible_descents() == vd
-
-    def test_cover_matches_unshifted(self):
-        z = parse_fpf("3412")
-        shifted = ShiftedFpfInvolution(shift_fpf(2, z), 4)
-        for i in range(-2, 4):
-            for j in range(i + 1, 5):
-                got = shifted.cover_up(i, j)
-                if i >= 1:
-                    assert got == fpf_cover_up(z, i, j)
+    def test_normalized_theta_has_offset_zero(self):
+        for offset in (0, 2, 4):
+            assert ShiftedFpfInvolution(THETA, offset).normalized() == ShiftedFpfInvolution(THETA)
 
 
 class TestEnumerators:

@@ -5,16 +5,18 @@ from spgroth.coxeter import (
     ShiftedFpfInvolution,
     all_fpf_involutions,
     all_permutations,
+    fpf_transition_indices,
     grassmannian_perm,
     parse_fpf,
     parse_permutation,
     shift_fpf,
     shift_perm,
 )
-from spgroth.grothendieck import grothendieck, sp_grothendieck
+from spgroth.grothendieck import _transposition_products, grothendieck, sp_grothendieck
 from spgroth.polyring import BetaInt, MultiPoly, apply_word, set_beta, symmetrize_check, truncate
 from spgroth.stable import (
     Window,
+    _unframe,
     expand_in_G_basis,
     expand_in_GP_basis,
     g_via_pi_formula,
@@ -32,7 +34,14 @@ from spgroth.stable import (
     verify_stable_sp_transition,
 )
 
-from helpers import oracle_tableaux, poly_from_beta_terms
+from helpers import (
+    oracle_positive_recurrence,
+    oracle_shifted_cover_list_above,
+    oracle_shifted_cover_list_below,
+    oracle_shifted_products,
+    oracle_tableaux,
+    poly_from_beta_terms,
+)
 
 X = MultiPoly.x
 THETA = FpfInvolution.theta_involution()
@@ -435,6 +444,48 @@ class TestStableTransition:
                 assert verify_stable_sp_transition(ShiftedFpfInvolution(z), j, k, win)
                 assert verify_stable_sp_transition(
                     ShiftedFpfInvolution(shift_fpf(1, z), 2), j, k, win)
+
+    def test_below_support(self):
+        # the downward cover at j - 1 lies two or more steps under the support
+        win = Window(3, 4)
+        for z, j in ((THETA, -1), (THETA, -3), (parse_fpf("3412"), -1),
+                     (parse_fpf("351624"), -1)):
+            assert verify_stable_sp_transition(ShiftedFpfInvolution(z), j, j + 1, win), (z, j)
+
+
+class TestFrameAgainstShiftedOracle:
+    """The stable identities run the finite transition machinery on a
+    positive representative (a frame); the oracle works on Z directly."""
+
+    def test_transition_lists_and_products(self):
+        conj = FpfInvolution.conj_transposition
+        for z in all_fpf_involutions(6):
+            for j, k in z.cycles_in_rank(6):
+                for half in (0, 1):
+                    v = ShiftedFpfInvolution(shift_fpf(half, z), 2 * half)
+                    y, d = v.with_headroom(min(j, v.min_support()) - 2)
+                    I, L = fpf_transition_indices(y, j + d, k + d)
+                    want_i = oracle_shifted_cover_list_below(v, j)
+                    want_l = oracle_shifted_cover_list_above(v, k)
+                    assert tuple(i - d for i in I) == want_i
+                    assert tuple(l - d for l in L) == want_l
+                    assert _unframe(_transposition_products(y, j + d, I, conj), d) == \
+                        oracle_shifted_products(v.normalized(), j, want_i)
+                    assert _unframe(_transposition_products(y, k + d, L, conj), d) == \
+                        oracle_shifted_products(v.normalized(), k, want_l)
+
+    def test_recurrence_certificates(self):
+        win = Window(2, 3)
+        for z in all_fpf_involutions(6):
+            if z == THETA:
+                continue
+            for half in (0, 1):
+                v = ShiftedFpfInvolution(shift_fpf(half, z), 2 * half)
+                cert = gp_sp_positive_recurrence(v, win)
+                assert cert.verified
+                assert cert.z == v
+                assert (cert.v, cert.j, cert.k, cert.l, cert.i_list, cert.terms) == \
+                    oracle_positive_recurrence(v)
 
 
 class TestPositiveRecurrence:
