@@ -345,6 +345,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
+        if n < 0:
+            raise ValueError(f"negative power {n} of a polynomial")
         result = MultiPoly.one(self.nvars)
         for _ in range(n):
             result = result * self
@@ -573,14 +575,6 @@ def _times_one_plus_beta_x(i: int, f: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.nvars, out)
 
 
-def _times_x(i: int, f: MultiPoly) -> MultiPoly:
-    lay = _layout(f.nvars)
-    inc = (1 << lay.shift[i - 1]) + (1 << lay.top)
-    out = {k + inc: c for k, c in f.terms.items()}
-    lay.check(out)
-    return MultiPoly._raw(f.nvars, out)
-
-
 def beta_divided_diff(i: int, f: MultiPoly) -> MultiPoly:
     """The beta-deformed divided difference applied to f: the plain divided
     difference of (1 + beta*x_{i+1}) * f."""
@@ -589,9 +583,58 @@ def beta_divided_diff(i: int, f: MultiPoly) -> MultiPoly:
 
 
 def isobaric(i: int, f: MultiPoly) -> MultiPoly:
-    """The isobaric operator: beta divided difference applied to x_i * f."""
-    _check_index(i, f)
-    return beta_divided_diff(i, _times_x(i, f))
+    """The isobaric operator: beta divided difference applied to x_i * f.
+
+    One pass over f, a pair {m, s_i m} at a time.  Write m = x_i^a
+    x_{i+1}^b * rest with d = a - b > 0, and c, c' for the coefficients of m
+    and of s_i m (0 if absent).  The pair maps to
+
+        c * (m + s_i m) + (c - c') * (interior + beta * x_{i+1} * run),
+
+    where run is the d terms m (x_{i+1}/x_i)^t for 0 <= t < d, and interior
+    is run without m; a term with a = b maps to itself.  So the runs of a
+    pair with equal coefficients are never written.  The range rule is that of
+    x_i * f followed by (1 + beta*x_{i+1}) * (x_i * f): ExponentRangeError
+    if any term has e_i or e_{i+1} at EXP_MAX or its beta power at
+    BETA_MAX, even where the runs cancel."""
+    lo, step, _ = _swap_step(i, f)
+    lay = _layout(f.nvars)
+    terms = f.terms
+    # add one to the x_i, x_{i+1} and beta fields: a guard bit marks an edge
+    lay.check(map(((1 << lo) + (1 << (lo + FIELD_BITS)) + 1).__add__, terms))
+    up = (1 << lo) + (1 << lay.top) + 1  # the key change of beta * x_{i+1}
+    out: dict[int, int] = {}
+    get = out.get
+    partner_of = terms.get
+    for k, c in terms.items():
+        pair = k >> lo
+        d = ((pair >> FIELD_BITS) & _FIELD) - (pair & _FIELD)  # e_i - e_{i+1}
+        if d > 0:
+            partner = k + d * step
+            out[k] = get(k, 0) + c
+            out[partner] = get(partner, 0) + c
+            delta = c - partner_of(partner, 0)
+            if not delta:
+                continue
+        elif d < 0:
+            k += d * step
+            if k in terms:
+                continue  # visited from its partner
+            delta, d = -c, -d
+        else:
+            out[k] = get(k, 0) + c
+            continue
+        if d == 1:  # the commonest: no interior, one beta term
+            k += up
+            out[k] = get(k, 0) + delta
+            continue
+        end = k + d * step
+        for key in range(k + step, end, step):
+            out[key] = get(key, 0) + delta
+        for key in range(k + up, end + up, step):
+            out[key] = get(key, 0) + delta
+    # cancelled terms are dropped once, after the sums
+    return MultiPoly._raw(f.nvars, {k: c for k, c in out.items() if c})
 
 
 OPERATORS: dict[str, Callable[[int, MultiPoly], MultiPoly]] = {

@@ -213,14 +213,24 @@ def _apply_pi_truncated(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> Mul
 def _stable_groth_perm_cached(oneline: tuple[int, ...], nvars: int, maxdeg: int) -> MultiPoly:
     w = Permutation(oneline)
     n = max(nvars, w.support)
-    f = _apply_pi_truncated(_long_word(n), grothendieck(w).embed(n), maxdeg)
+    # the polynomial of w is symmetric in x_j, x_{j+1} at every ascent j, and
+    # pi_j fixes such polynomials, so pi_{w0} = pi_u pi_{w0_J} with
+    # u = w0 * w0_J acts on it as pi_u; w0_J, the longest element generated
+    # by the ascents, reverses each block of positions between descents
+    cuts = (0, *w.descents(), n)
+    w0_J = Permutation.from_oneline(v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1))
+    word = reduced_word(Permutation.longest(n) * w0_J)
+    f = _apply_pi_truncated(word, grothendieck(w).embed(n), maxdeg)
     return f.restrict(nvars)
 
 
 def stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     """Stable limit of the permutation family at the window: the isobaric
-    long-word image of the polynomial, computed in max(nvars, support)
-    variables and then restricted.  Exact at the window."""
+    long-word image pi_{w0} of the polynomial, computed in n = max(nvars,
+    support) variables and then restricted.  Only the parabolic quotient
+    u = w0 * w0_J of the long word is applied, J the ascents of w in
+    1..n-1: the polynomial is symmetric at each ascent, where the isobaric
+    operator acts as the identity.  Exact at the window."""
     return _stable_groth_perm_cached(w.oneline, win.nvars, win.maxdeg)
 
 

@@ -10,7 +10,9 @@ import itertools
 from functools import cache
 
 from spgroth.coxeter import FpfInvolution, Permutation, ShiftedFpfInvolution, fpf_cover_up, theta
+from spgroth.grothendieck import grothendieck
 from spgroth.polyring import BetaInt, MultiPoly, beta_divided_diff, oplus
+from spgroth.stable import Window, _apply_pi_truncated, _long_word
 
 
 def oracle_inversions(word) -> int:
@@ -100,6 +102,15 @@ def oracle_sp_grothendieck(z: FpfInvolution) -> MultiPoly:
     first-ascent chain.  Carries the library's nvars convention (m - 1 for
     n...321 and theta, else the support)."""
     return _oracle_sp_groth(z.oneline)
+
+
+def long_word_stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
+    """The stable limit of the permutation family through the whole long
+    word of max(nvars, support), clipped after every isobaric step, then
+    restricted to the window's variables."""
+    n = max(win.nvars, w.support)
+    f = _apply_pi_truncated(_long_word(n), grothendieck(w).embed(n), win.maxdeg)
+    return f.restrict(win.nvars)
 
 
 def _oracle_groups(f: MultiPoly) -> list[tuple[tuple[int, ...], list[int]]]:

@@ -164,9 +164,10 @@ class TestArgparseSurface:
         assert main(["verify", "no-such-identity", "21"]) == 2
 
 
-# stdout sha256 of cheap ops, recorded before the packed-monomial kernel
-# (the last four before the tableau engine and the expansion classes were
-# merged); every op exits 0
+# stdout sha256 of cheap ops, recorded before the packed-monomial kernel,
+# except the last seven: four recorded before the tableau engine and the
+# expansion classes were merged, three before the stable limits applied only
+# the parabolic quotient of the long word; every op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -206,6 +207,12 @@ PINNED_OUTPUT = [
      "d94fec281e8431cd3c4a5a93cf3884ae47a69f37ff4d738509f761af9506de8e"),
     ("compute GP 3,2,1 --nvars 3 --maxdeg 8 --format json",
      "8ec86482087d32f6e62a0239ddf9b18c7e05ca709f90d499d2c6c9779b7621f9"),
+    ("compute GP-sp 351624 --nvars 6 --maxdeg 8 --format json",
+     "5d5b344eee53d86385ad4da1864e7ffd419f91c3183b56aeb9a2142fc00d7e10"),
+    ("compute GP-sp 47816523 --nvars 4 --maxdeg 7",
+     "c5695116f2406319516189ec08eb897ff46a28d997877b3cab6855ac599d61ef"),
+    ("expand GP-sp 35172846 --nvars 4 --maxdeg 7 --format json",
+     "307820e711f540e32e28d4ac6f65cae110657627f6952a32591509d360d24277"),
 ]
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as stgs
+from hypothesis import Phase, find, given, settings, strategies as stgs
 
 from spgroth.coxeter import (
     Permutation,
@@ -25,7 +25,6 @@ from spgroth.polyring import (
     set_beta,
     symmetrize_check,
     truncate,
-    _times_x,
 )
 
 from helpers import (
@@ -77,6 +76,34 @@ def sized_terms(laurent=True):
         lambda n: stgs.tuples(stgs.just(n), terms_strategy(n, laurent)))
 
 
+@stgs.composite
+def isobaric_inputs(draw):
+    """(i, f) with f = g + sign * s_i g + h for small Laurent g, h of mixed
+    beta powers: pairs {m, s_i m} with equal, unequal and absent partners."""
+    n = draw(stgs.integers(2, 4))
+    i = draw(stgs.integers(1, n - 1))
+    g, h = (MultiPoly(n, draw(terms_strategy(n))) for _ in range(2))
+    sign = draw(stgs.sampled_from((0, 1, -1)))
+    return i, g + sign * act_si(i, g) + h
+
+
+def isobaric_branches(i: int, f: MultiPoly) -> set[str]:
+    """The branches of the isobaric pair pass that the terms of f reach."""
+    a = ref_terms(f)
+    out = set()
+    for (bp, exps), c in a.items():
+        p, q = exps[i - 1], exps[i]
+        swapped = exps[:i - 1] + (q, p) + exps[i + 1:]
+        partner = a.get((bp, swapped))
+        if p == q:
+            out.add("fixed")
+        elif partner is None:
+            out.add("alone above" if p > q else "alone below")
+        elif p > q:
+            out.add("equal pair" if partner == c else "unequal pair")
+    return out
+
+
 class TestBetaInt:
     def test_ring(self):
         a = BetaInt((1, 2))
@@ -119,6 +146,12 @@ class TestRingOps:
                 + MultiPoly.beta(2) * X(2, 2)
                 + MultiPoly.beta(2) ** 2 * X(1, 2) * X(2, 2))
         assert f == want
+
+    def test_power(self):
+        assert X(1, 2) ** 0 == MultiPoly.one(2)
+        assert X(1, 2) ** 3 == X(1, 2, 3)
+        with pytest.raises(ValueError, match="negative power"):
+            X(1, 2) ** -1
 
     def test_embedding_insensitive_equality(self):
         assert X(1, 2) == X(1, 5)
@@ -204,6 +237,18 @@ class TestIsobaric:
         for i in (1, 2):
             alt = f + X(i + 1, 3) * (1 + MultiPoly.beta(3) * X(i, 3)) * divided_diff(i, f)
             assert isobaric(i, f) == alt
+
+    @given(isobaric_inputs())
+    def test_pair_pass_against_reference(self, case):
+        i, f = case
+        assert ref_terms(isobaric(i, f)) == ref_isobaric(i, ref_terms(f))
+
+    @pytest.mark.parametrize("branch", ("fixed", "equal pair", "unequal pair",
+                                        "alone above", "alone below"))
+    def test_inputs_reach_every_branch(self, branch):
+        # equal pairs skip their runs (delta = 0), the others write them
+        find(isobaric_inputs(), lambda case: branch in isobaric_branches(*case),
+             settings=settings(phases=[Phase.generate], database=None))
 
     @given(poly_strategy())
     def test_idempotent(self, f):
@@ -445,7 +490,12 @@ class TestPackedRange:
         with pytest.raises(ExponentRangeError):
             isobaric(1, x(1, 2, EXP_MAX))           # multiplies by x_1
         with pytest.raises(ExponentRangeError):
-            _times_x(1, x(1, 2, EXP_MAX))
+            isobaric(1, x(2, 2, EXP_MAX))           # then by 1 + beta x_2
+        with pytest.raises(ExponentRangeError):
+            isobaric(1, MultiPoly(2, {(BETA_MAX, (0, 0)): 1}))
+        with pytest.raises(ExponentRangeError):
+            # a symmetric pair writes no beta run, and still raises
+            isobaric(1, x(1, 2, EXP_MAX) + x(2, 2, EXP_MAX))
         with pytest.raises(ExponentRangeError):
             beta_divided_diff(1, x(2, 2, EXP_MAX))  # multiplies by 1 + beta x_2
         with pytest.raises(ExponentRangeError):
@@ -458,6 +508,10 @@ class TestPackedRange:
         assert scale_x_by_neg_beta(MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1})) == \
             MultiPoly(2, {(BETA_MAX, (1, 0)): -1})
         assert divided_diff(1, x(1, 2, EXP_MAX)).total_degree() == EXP_MAX - 1
+        assert isobaric(2, x(1, 3, EXP_MAX)) == x(1, 3, EXP_MAX)
+        assert isobaric(1, MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1})) == \
+            MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1, (BETA_MAX - 1, (0, 1)): 1,
+                          (BETA_MAX, (1, 1)): 1})
 
 
 class TestSerialization:

@@ -13,7 +13,15 @@ from spgroth.coxeter import (
     shift_perm,
 )
 from spgroth.grothendieck import _transposition_products, grothendieck, sp_grothendieck
-from spgroth.polyring import BetaInt, MultiPoly, apply_word, set_beta, symmetrize_check, truncate
+from spgroth.polyring import (
+    BetaInt,
+    MultiPoly,
+    act_si,
+    apply_word,
+    set_beta,
+    symmetrize_check,
+    truncate,
+)
 from spgroth.stable import (
     Window,
     _unframe,
@@ -35,6 +43,7 @@ from spgroth.stable import (
 )
 
 from helpers import (
+    long_word_stable_groth_perm,
     oracle_positive_recurrence,
     oracle_shifted_cover_list_above,
     oracle_shifted_cover_list_below,
@@ -206,6 +215,20 @@ class TestStableGrothPerm:
         for lam in [(1,), (2,), (1, 1), (2, 1)]:
             assert (stable_groth_perm(grassmannian_perm(lam), win)
                     == stable_groth_partition(lam, win)), lam
+
+    def test_ascents_are_symmetries(self):
+        # the premise of the parabolic quotient: the polynomial of w is
+        # symmetric in x_j, x_{j+1} at every ascent j
+        for w in all_permutations(6):
+            f = grothendieck(w).embed(w.support + 1)
+            for j in range(1, w.support + 1):
+                if w(j) < w(j + 1):
+                    assert act_si(j, f) == f, (w, j)
+
+    def test_quotient_word_equals_long_word(self):
+        for w in all_permutations(5):
+            for win in (Window(4, 6), Window(6, 8)):
+                assert stable_groth_perm(w, win) == long_word_stable_groth_perm(w, win), (w, win)
 
     def test_exact_stabilization(self):
         # restriction of the padded polynomial agrees exactly, not only
