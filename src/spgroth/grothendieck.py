@@ -33,14 +33,15 @@ from .polyring import (
     MultiPoly,
     apply_word,
     beta_divided_diff,
+    divided_diff,
     oplus,
     scale_x_by_neg_beta,
     set_beta,
 )
 
 
-def _one_plus_beta_x(i: int, nvars: int) -> MultiPoly:
-    return MultiPoly.one(nvars) + MultiPoly.beta(nvars) * MultiPoly.x(i, nvars)
+def _one_plus_beta_x(i: int) -> MultiPoly:
+    return MultiPoly.one(i) + MultiPoly.beta(i) * MultiPoly.x(i)
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +61,14 @@ def _groth_raw(oneline: tuple[int, ...]) -> MultiPoly:
     return beta_divided_diff(i, _groth_raw(u.oneline).embed(m))
 
 
-def grothendieck(w: Permutation, nvars: int | None = None) -> MultiPoly:
+def grothendieck(w: Permutation) -> MultiPoly:
     """The member of the unique beta divided difference family indexed by w,
     normalized so the reversal n...321 maps to the staircase monomial.
 
     Computed from the nearest dominant permutation above w along first
     ascents, where the member is x^code.  The result lives in
-    max(1, support) variables unless nvars is given."""
-    f = _groth_raw(w.oneline)
-    if nvars is not None:
-        if nvars < max(1, w.support - 1):
-            raise ValueError(f"nvars={nvars} below the variables of the result")
-        f = f.restrict(nvars)
-    return f
+    max(1, support) variables; embed or restrict it for others."""
+    return _groth_raw(w.oneline)
 
 
 def schubert(w: Permutation) -> MultiPoly:
@@ -95,7 +91,7 @@ def _sp_groth_raw(oneline: tuple[int, ...]) -> MultiPoly:
     return beta_divided_diff(i, _sp_groth_raw(y.oneline).embed(m))
 
 
-def sp_grothendieck(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
+def sp_grothendieck(z: FpfInvolution) -> MultiPoly:
     """The symplectic family member indexed by the fpf involution z,
     normalized so n...321 maps to the product of x_i (+) x_j over its
     dominant diagram.
@@ -103,14 +99,9 @@ def sp_grothendieck(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
     Computed from the nearest Sp-dominant involution above z along first
     ascents, where the member is that closed product.  The result lives in
     m - 1 variables for n...321 and theta (m = max(support, 2)), and in the
-    support otherwise, unless nvars is given; nvars may drop x_support,
-    which no term uses, but no variable below it."""
-    f = _sp_groth_raw(z.oneline)
-    if nvars is not None:
-        if nvars < max(1, z.support - 1):
-            raise ValueError(f"nvars={nvars} below the variables of the result")
-        f = f.restrict(nvars)
-    return f
+    support otherwise; no term uses x_support, so restricting to support - 1
+    variables loses nothing."""
+    return _sp_groth_raw(z.oneline)
 
 
 def is_sp_dominant(z: FpfInvolution) -> bool:
@@ -204,7 +195,7 @@ def _extract_schubert_level(bottom: MultiPoly) -> dict[Permutation, BetaInt]:
         w = permutation_from_code(exps)
         rw = reduced_word(w)
         ambient = max(work.nvars, max(rw) + 1 if rw else 1)
-        c = apply_word("partial", rw, work.embed(ambient)).constant_term()
+        c = apply_word(divided_diff, rw, work.embed(ambient)).constant_term()
         if c != work.coefficient(exps):
             raise RuntimeError(f"pivot extraction mismatch at {w!r}")
         found[w] = c
@@ -224,7 +215,7 @@ def _expand_groth(f: MultiPoly, max_deg: int, censor: bool):
         d = rem.min_degree()
         if d > max_deg:
             if censor:
-                return _sorted_terms(found), rem
+                break
             raise ExpansionDegreeError(
                 f"expansion exceeded max_deg={max_deg} (bottom degree {d})", rem)
         for w, c in _extract_schubert_level(rem.bottom()).items():
@@ -233,22 +224,20 @@ def _expand_groth(f: MultiPoly, max_deg: int, censor: bool):
             found[w] = found.get(w, BetaInt()) + c
             g = grothendieck(w)
             rem = rem - g.embed(max(rem.nvars, g.nvars)) * c
-    return _sorted_terms(found), None
+    return _sorted_terms(found)
 
 
 def expand_in_grothendieck_basis(f: MultiPoly, max_deg: int) -> Expansion:
     """Exact finite expansion of a polynomial in the permutation basis.
     Raises ExpansionDegreeError when the iteration climbs past max_deg."""
-    terms, _ = _expand_groth(f, max_deg, censor=False)
-    return Expansion(terms)
+    return Expansion(_expand_groth(f, max_deg, censor=False))
 
 
 def expand_in_grothendieck_basis_censored(f: MultiPoly, cutoff: int) -> Expansion:
     """Every basis coefficient for indices of length <= cutoff, discarding the
     rest of the expansion (used for degree-truncated windows, where the
     discarded terms contribute nothing)."""
-    terms, _ = _expand_groth(f, cutoff, censor=True)
-    return Expansion(terms)
+    return Expansion(_expand_groth(f, cutoff, censor=True))
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +303,33 @@ def lenart_signed_terms(v: Permutation, k: int) -> tuple[tuple[Permutation, int,
     return tuple(out)
 
 
-def verify_lenart_transition(v: Permutation, k: int, nvars: int | None = None) -> TransitionCheck:
-    """Check the two-sided transition identity at index k, and cross-check
-    the signed one-variable form against (1 + beta*x_k) * G_v."""
+def verify_lenart_transition(v: Permutation, k: int) -> TransitionCheck:
+    """Check the two-sided transition identity at index k >= 1, and
+    cross-check the signed one-variable form against (1 + beta*x_k) * G_v."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     J, L = transition_indices_perm(v, k)
-    nvars = nvars or 1
     times = Permutation.times_transposition
-    left = _combination(grothendieck, _transposition_products(v, k, J, times), nvars)
-    rhs = _combination(grothendieck, _transposition_products(v, k, L, times), nvars)
-    lhs = _one_plus_beta_x(k, k) * left
+    left = _combination(grothendieck, _transposition_products(v, k, J, times), 1)
+    rhs = _combination(grothendieck, _transposition_products(v, k, L, times), 1)
+    lhs = _one_plus_beta_x(k) * left
 
-    signed = MultiPoly.zero(nvars)
+    signed = MultiPoly.zero()
     for w, sign, power in lenart_signed_terms(v, k):
         signed = signed + grothendieck(w) * (BetaInt.beta() ** power) * sign
-    direct = _one_plus_beta_x(k, k) * grothendieck(v)
+    direct = _one_plus_beta_x(k) * grothendieck(v)
     return TransitionCheck(lhs, rhs, lhs == rhs, signed_equal=(signed == direct))
 
 
-def verify_sp_transition(v: FpfInvolution, j: int, k: int, nvars: int | None = None) -> TransitionCheck:
+def verify_sp_transition(v: FpfInvolution, j: int, k: int) -> TransitionCheck:
     """Check the symplectic transition identity for the 2-cycle v(j) = k."""
     if v(j) != k or not j < k:
         raise ValueError(f"need v({j}) = {k} with j < k")
     I, L = fpf_transition_indices(v, j, k)
-    nvars = nvars or 1
     conj = FpfInvolution.conj_transposition
-    left = _combination(sp_grothendieck, _transposition_products(v, j, I, conj), nvars)
-    rhs = _combination(sp_grothendieck, _transposition_products(v, k, L, conj), nvars)
-    lhs = _one_plus_beta_x(j, j) * _one_plus_beta_x(k, k) * left
+    left = _combination(sp_grothendieck, _transposition_products(v, j, I, conj), 1)
+    rhs = _combination(sp_grothendieck, _transposition_products(v, k, L, conj), 1)
+    lhs = _one_plus_beta_x(j) * _one_plus_beta_x(k) * left
     return TransitionCheck(lhs, rhs, lhs == rhs)
 
 
@@ -374,7 +363,7 @@ def _recurrence_step(z: FpfInvolution) -> tuple[int, int, FpfInvolution, int]:
     return k, l, v, j
 
 
-def sp_transition_recurrence(z: FpfInvolution, nvars: int | None = None) -> RecurrenceCheck:
+def sp_transition_recurrence(z: FpfInvolution) -> RecurrenceCheck:
     """Descend from z by the step (k, l, v, j) at its last visible descent
     k (see _recurrence_step) and certify
 
@@ -386,11 +375,10 @@ def sp_transition_recurrence(z: FpfInvolution, nvars: int | None = None) -> Recu
     k, l, v, j = _recurrence_step(z)
     I, L = fpf_transition_indices(v, j, k)
     asc_plus_ok = L == (l,)
-    nvars = nvars or 1
-    lhs = MultiPoly.beta(nvars) * sp_grothendieck(z)
+    lhs = MultiPoly.beta() * sp_grothendieck(z)
     pi_minus = _combination(sp_grothendieck, _transposition_products(
-        v, j, I, FpfInvolution.conj_transposition), nvars)
-    rhs = (_one_plus_beta_x(j, j) * _one_plus_beta_x(k, k) * pi_minus
+        v, j, I, FpfInvolution.conj_transposition), 1)
+    rhs = (_one_plus_beta_x(j) * _one_plus_beta_x(k) * pi_minus
            - sp_grothendieck(v))
     certified = asc_plus_ok and lhs == rhs
     return RecurrenceCheck(z, v, j, k, l, I, certified, lhs, rhs)

@@ -250,10 +250,9 @@ class MultiPoly:
         return MultiPoly.constant(BetaInt.beta(), nvars)
 
     @staticmethod
-    def monomial(exps: Iterable[int], coeff: BetaInt | int = 1, beta_power: int = 0) -> "MultiPoly":
+    def monomial(exps: Iterable[int], coeff: BetaInt | int = 1) -> "MultiPoly":
         exps = tuple(exps) or (0,)
-        c = BetaInt.of(coeff)
-        return MultiPoly(len(exps), {(beta_power + k, exps): v for k, v in enumerate(c.coeffs)})
+        return MultiPoly(len(exps), {(k, exps): v for k, v in enumerate(BetaInt.of(coeff).coeffs)})
 
     # -- ring operations ---------------------------------------------------
 
@@ -637,17 +636,11 @@ def isobaric(i: int, f: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.nvars, {k: c for k, c in out.items() if c})
 
 
-OPERATORS: dict[str, Callable[[int, MultiPoly], MultiPoly]] = {
-    "partial": divided_diff,
-    "beta": beta_divided_diff,
-    "pi": isobaric,
-}
-
-
-def apply_word(kind: str, word: Iterable[int], f: MultiPoly) -> MultiPoly:
-    """Apply the operator composition indexed by the word, rightmost index
-    acting first (the subscripts read as an operator product)."""
-    op = OPERATORS[kind]
+def apply_word(op: Callable[[int, MultiPoly], MultiPoly], word: Iterable[int],
+               f: MultiPoly) -> MultiPoly:
+    """Apply the composition of op indexed by the word, rightmost index
+    acting first (the subscripts read as an operator product), e.g.
+    apply_word(divided_diff, (1, 2), f) is divided_diff(1, divided_diff(2, f))."""
     for i in reversed(tuple(word)):
         f = op(i, f)
     return f
@@ -703,17 +696,12 @@ def scale_x_by_neg_beta(f: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.nvars, out)
 
 
-def symmetrize_check(f: MultiPoly, nvars: int, max_degree: int | None = None) -> bool:
-    """True if f is symmetric in x_1..x_nvars, optionally modulo terms of
-    total degree above max_degree."""
-    g = f if max_degree is None else truncate(f, max_degree)
-    for i in range(1, nvars):
-        h = act_si(i, g)
-        if max_degree is not None:
-            h = truncate(h, max_degree)
-        if h != g:
-            return False
-    return True
+def symmetrize_check(f: MultiPoly, nvars: int, max_degree: int) -> bool:
+    """True if f, read in at least nvars variables, is symmetric in
+    x_1..x_nvars modulo terms of total degree above max_degree."""
+    g = truncate(f.embed(max(nvars, f.nvars)), max_degree)
+    # the swaps keep the total degree, so their images need no truncation
+    return all(act_si(i, g) == g for i in range(1, nvars))
 
 
 def _check_index(i: int, f: MultiPoly) -> None:

@@ -167,25 +167,24 @@ def _is_primed(m: int) -> bool:
     return m % 2 == 1
 
 
-def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int,
-                                diagonal_primes: bool = False):
+def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
     """Semistandard shifted set-valued fillings of the strict shape with
     marked letters of value at most nvars and at most max_weight letters.
     Rows may share only unprimed letters, columns only primed ones; primed
-    letters are excluded from the diagonal unless diagonal_primes is set."""
+    letters are excluded from the diagonal."""
     shape = as_strict_partition(shape)
     cells = [(i, i + j - 1) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
     letters = tuple(range(1, 2 * nvars + 1))
     unprimed = tuple(range(2, 2 * nvars + 1, 2))
-    pools = [letters if diagonal_primes or i != j else unprimed for i, j in cells]
+    pools = [letters if i != j else unprimed for i, j in cells]
     yield from _fillings(cells, pools, _is_primed, max_weight)
 
 
-def gp_partition(lam: tuple[int, ...], win: Window, diagonal_primes: bool = False) -> MultiPoly:
+def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """Shifted set-valued tableau generating function for the strict shape,
     truncated at the window."""
     lam = as_strict_partition(lam)
-    tableaux = shifted_set_valued_tableaux(lam, win.nvars, win.maxdeg, diagonal_primes)
+    tableaux = shifted_set_valued_tableaux(lam, win.nvars, win.maxdeg)
     variable = tuple((m + 1) // 2 - 1 for m in range(2 * win.nvars + 1))
     return _tableau_series(tableaux, sum(lam), win.nvars, variable)
 
@@ -238,16 +237,17 @@ def gp_sp(z: FpfInvolution, win: Window) -> MultiPoly:
     """Symplectic stable limit at the window, by expanding in the
     permutation basis and stabilizing term by term.  Coefficients on indices
     of length above maxdeg are censored; their stable images vanish at the
-    window."""
+    window.  The terms are window values, so their sum is one too."""
     expansion = expand_in_grothendieck_basis_censored(sp_grothendieck(z), win.maxdeg)
-    return win.clip(_combination(lambda w: stable_groth_perm(w, win), expansion.as_dict(),
-                                 win.nvars))
+    return _combination(lambda w: stable_groth_perm(w, win), expansion.as_dict(), win.nvars)
 
 
-def gp_sp_stabilized(z: FpfInvolution, win: Window, max_extra: int = 8) -> MultiPoly:
+def gp_sp_stabilized(z: FpfInvolution, win: Window) -> MultiPoly:
     """Cross-check route: isobaric long-word images for growing n until the
-    window stabilizes twice; asserts a third agreement."""
+    window stabilizes twice, within 8 extra variables; asserts a third
+    agreement."""
     n = max(win.nvars, z.support, 2)
+    max_extra = 8
     values = []
     for extra in range(max_extra + 1):
         f = _apply_pi_truncated(_long_word(n + extra), sp_grothendieck(z).embed(n + extra),
@@ -268,7 +268,7 @@ def g_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
     if len(lam) > n:
         raise ValueError("shape has more rows than variables")
     exps = tuple(lam) + (0,) * (n - len(lam))
-    return apply_word("pi", _long_word(n), MultiPoly.monomial(exps))
+    return apply_word(isobaric, _long_word(n), MultiPoly.monomial(exps))
 
 
 def _gp_operand(lam: tuple[int, ...], n: int) -> MultiPoly:
@@ -290,7 +290,7 @@ def gp_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
     lam = as_strict_partition(lam)
     if len(lam) > n:
         raise ValueError("shape has more parts than variables")
-    f = apply_word("pi", _long_word(n), _gp_operand(lam, n))
+    f = apply_word(isobaric, _long_word(n), _gp_operand(lam, n))
     if f.has_negative_exponents():
         raise RuntimeError("isobaric image failed to be a polynomial")
     return f
@@ -321,15 +321,16 @@ def sp_grassmannian_formula(z: FpfInvolution) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _triangular_expand(f: MultiPoly, win: Window, shapes_of, basis_at_window, max_parts):
-    """Shared elimination: shapes by increasing size, then descending
-    lexicographic (a linear extension of dominance, most dominant first);
-    the pivot is the coefficient of the shape monomial itself."""
-    rem = win.clip(f.restrict(win.nvars) if f.nvars > win.nvars else f)
+def _triangular_expand(f: MultiPoly, win: Window, shapes_of, basis_at_window):
+    """Shared elimination over the shapes with at most nvars parts: by
+    increasing size, then descending lexicographic (a linear extension of
+    dominance, most dominant first); the pivot is the coefficient of the
+    shape monomial itself."""
+    rem = win.clip(f)
     found = []
     for size in range(win.maxdeg + 1):
         for lam in shapes_of(size):
-            if len(lam) > max_parts:
+            if len(lam) > win.nvars:
                 continue
             c = rem.coefficient(lam)
             if c:
@@ -348,7 +349,7 @@ def expand_in_G_basis(f: MultiPoly, win: Window) -> Expansion:
     if not symmetrize_check(f, win.nvars, win.maxdeg):
         raise ValueError("input is not symmetric at the window")
     terms = _triangular_expand(f, win, partitions_of,
-                               lambda lam: stable_groth_partition(lam, win), win.nvars)
+                               lambda lam: stable_groth_partition(lam, win))
     return Expansion(terms)
 
 
@@ -358,7 +359,7 @@ def expand_in_GP_basis(f: MultiPoly, win: Window) -> Expansion:
     if not symmetrize_check(f, win.nvars, win.maxdeg):
         raise ValueError("input is not symmetric at the window")
     terms = _triangular_expand(f, win, strict_partitions_of,
-                               lambda lam: gp_partition(lam, win), win.nvars)
+                               lambda lam: gp_partition(lam, win))
     return Expansion(terms)
 
 
@@ -382,8 +383,9 @@ def _gp_of_shifted(z: ShiftedFpfInvolution, win: Window) -> MultiPoly:
 
 
 def _gp_combination(terms: dict, win: Window) -> MultiPoly:
-    """Window value of the sum of c * (series of y) over {y: c}."""
-    return win.clip(_combination(lambda y: _gp_of_shifted(y, win), terms, win.nvars))
+    """Window value of the sum of c * (series of y) over {y: c}; the terms
+    are window values already."""
+    return _combination(lambda y: _gp_of_shifted(y, win), terms, win.nvars)
 
 
 def _unframe(terms: dict, d: int) -> dict:

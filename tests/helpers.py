@@ -267,8 +267,9 @@ def random_beta_poly(rng, nvars=3, max_deg=3, max_beta=2, terms=5,
     lo = -2 if laurent else 0
     for _ in range(rng.randint(1, terms)):
         exps = tuple(rng.randint(lo, max_deg) for _ in range(nvars))
-        f = f + MultiPoly.monomial(exps, coeff=rng.randint(-3, 3),
-                                   beta_power=rng.randint(0, max_beta))
+        # the coefficient is drawn before the beta power
+        coeff = rng.randint(-3, 3)
+        f = f + MultiPoly(nvars, {(rng.randint(0, max_beta), exps): coeff})
     return f
 
 
@@ -300,7 +301,7 @@ def poly_from_beta_terms(nvars: int, rows) -> MultiPoly:
     f = MultiPoly.zero(nvars)
     for coeff, bpow, exps in rows:
         exps = tuple(exps) + (0,) * (nvars - len(exps))
-        f = f + MultiPoly.monomial(exps, coeff=coeff, beta_power=bpow)
+        f = f + MultiPoly(nvars, {(bpow, exps): coeff})
     return f
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import spgroth.cli as cli
 from spgroth.cli import main
+from spgroth.grothendieck import TransitionCheck
 from spgroth.polyring import EXP_MAX, MultiPoly
 
 
@@ -74,6 +75,12 @@ class TestExpand:
         assert code == 0
         assert out.strip() == "132: [1]"
 
+    def test_fewer_variables_than_window(self, capsys):
+        # both polynomials are the constant 1 in one variable, read in the
+        # window's four
+        for command in ("expand sp-groth - --basis GP", "expand groth 1 --basis G"):
+            assert run(capsys, *command.split()) == (0, "-: [1]\n", ""), command
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "expand", "GP-sp", "4321", "--format", "json")
         assert code == 0
@@ -124,6 +131,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["result"] == "PASS"
 
+    def test_failure_exit_4(self, capsys, monkeypatch):
+        # no true identity fails, so a check with unequal sides stands in
+        def unequal(v, j, k):
+            return TransitionCheck(MultiPoly.x(1, 1), MultiPoly.beta(1), False)
+
+        monkeypatch.setattr(cli, "verify_sp_transition", unequal)
+        command = ("verify", "sp-transition", "351624", "--j", "1", "--k", "3")
+        assert run(capsys, *command) == (4, "FAIL\nlhs = [1] * x1\nrhs = [0,1]\n", "")
+        code, out, err = run(capsys, *command, "--format", "json")
+        assert (code, err) == (4, "")
+        assert '"result":"FAIL"' in out
+        assert json.loads(out) == {"schema_version": 1, "command": "verify",
+                                   "identity": "sp-transition", "element": "351624",
+                                   "result": "FAIL"}
+
 
 class TestSweep:
     def test_sp_transition_rank4(self, capsys):
@@ -154,6 +176,17 @@ class TestSweep:
         assert code == 0
         obj = json.loads(out)
         assert obj["failures"] == [] and obj["total"] == 3
+
+    def test_failure_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.st, "verify_f_grass", lambda z, win: False)
+        command = ("sweep", "f-grass", "--rank", "4", "--nvars", "3", "--maxdeg", "4")
+        assert run(capsys, *command) == (
+            4, "3/3 identities FAIL\nFAIL: -\nFAIL: 3412\nFAIL: 4321\n", "")
+        code, out, err = run(capsys, *command, "--format", "json")
+        assert (code, err) == (4, "")
+        assert json.loads(out) == {"schema_version": 1, "command": "sweep",
+                                   "identity": "f-grass", "rank": 4, "total": 3,
+                                   "failures": ["-", "3412", "4321"]}
 
 
 class TestArgparseSurface:
@@ -240,7 +273,8 @@ class TestPackedRange:
 
 
 # stdout, stderr and exit code of precondition failures, recorded while the
-# CLI still turned each ValueError into its own error
+# CLI still turned each ValueError into its own error, except the last, which
+# pins the index check of the permutation transition
 PINNED_ERRORS = [
     ("expand groth 4321 --max-expansion-degree 2",
      "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
@@ -249,6 +283,7 @@ PINNED_ERRORS = [
     ("verify stable-sp-transition 3412 --j=-1 --k=0 --offset 2",
      "error: need v(-1) = 0 with j < k\n"),
     ("expand sp-groth 4321 --basis G", "error: input is not symmetric at the window\n"),
+    ("verify lenart-transition 13452 --k 0", "error: need k >= 1, got 0\n"),
 ]
 
 

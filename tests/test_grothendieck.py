@@ -48,31 +48,33 @@ class TestGrothendieckTable:
             assert grothendieck(w) == poly_from_beta_terms(3, rows), word
 
     def test_nvars_embedding(self):
-        g = grothendieck(parse_permutation("132"), nvars=5)
+        g = grothendieck(parse_permutation("132")).embed(5)
         assert g.nvars == 5
         assert g == grothendieck(parse_permutation("132"))
-        with pytest.raises(ValueError):
-            grothendieck(parse_permutation("321"), nvars=1)
+        # the result lives in the support; x_support is unused, x_(support-1) is not
+        g = grothendieck(parse_permutation("321"))
+        assert g.nvars == 3
+        assert g.restrict(2) == g
+        assert g.restrict(1) != g
 
     def test_sp_nvars_embedding(self):
         z = parse_fpf("4,3,2,1")
-        assert sp_grothendieck(z, nvars=5) == sp_grothendieck(z)
-        assert sp_grothendieck(z, nvars=3).nvars == 3
-        # below support - 1 the restriction would drop terms: 4,3,2,1 has 8
+        assert sp_grothendieck(z).embed(5) == sp_grothendieck(z)
+        assert sp_grothendieck(z).nvars == 3
+        # below support - 1 the restriction drops terms: 4,3,2,1 has 8
         # terms, of which only x1^2 survives in one variable
         for nvars in (1, 2):
-            with pytest.raises(ValueError, match="below the variables"):
-                sp_grothendieck(z, nvars=nvars)
+            assert sp_grothendieck(z).restrict(nvars) != sp_grothendieck(z)
+        assert len(sp_grothendieck(z).restrict(1).canonical_terms()) == 1
         w = parse_fpf("351624")
-        assert sp_grothendieck(w, nvars=5) == sp_grothendieck(w)
-        with pytest.raises(ValueError):
-            sp_grothendieck(w, nvars=4)
+        assert sp_grothendieck(w).nvars == 6
+        assert sp_grothendieck(w).restrict(5) == sp_grothendieck(w)
 
     def test_recursion_consistency(self):
         beta = MultiPoly.beta(1)
         for w in all_permutations(4):
             for i in range(1, 5):
-                g = grothendieck(w, nvars=5)
+                g = grothendieck(w).embed(5)
                 if w(i) > w(i + 1):
                     assert beta_divided_diff(i, g) == grothendieck(w.times_s(i))
                 else:
@@ -121,7 +123,7 @@ class TestSpGrothendieck:
     def test_recursion_consistency(self):
         beta = MultiPoly.beta(1)
         for z in all_fpf_involutions(6):
-            g = sp_grothendieck(z, nvars=7)
+            g = sp_grothendieck(z).embed(7)
             for i in range(1, 7):
                 if i + 1 != z(i) and z(i) > z(i + 1) and z(i + 1) != i:
                     assert beta_divided_diff(i, g) == sp_grothendieck(z.conj_s(i))
@@ -206,6 +208,11 @@ class TestLenartTransition:
             for k in range(1, 5):
                 chk = verify_lenart_transition(v, k)
                 assert chk.equal and chk.signed_equal, (v, k)
+
+    def test_index_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"need k >= 1, got {k}"):
+                verify_lenart_transition(parse_permutation("132"), k)
 
 
 class TestSpTransition:

@@ -59,7 +59,7 @@ def poly_strategy(nvars=3, laurent=False):
     )
     return stgs.lists(monom, min_size=1, max_size=5).map(
         lambda rows: sum(
-            (MultiPoly.monomial(exps, coeff=c, beta_power=bp) for exps, bp, c in rows),
+            (MultiPoly(nvars, {(bp, exps): c}) for exps, bp, c in rows),
             MultiPoly.zero(nvars)))
 
 
@@ -287,17 +287,17 @@ class TestLeibniz:
 class TestBraidRelations:
     @given(poly_strategy(nvars=4))
     def test_braid_and_commuting(self, f):
-        for kind in ("partial", "beta", "pi"):
-            assert apply_word(kind, (1, 2, 1), f) == apply_word(kind, (2, 1, 2), f)
-            assert apply_word(kind, (1, 3), f) == apply_word(kind, (3, 1), f)
+        for op in (divided_diff, beta_divided_diff, isobaric):
+            assert apply_word(op, (1, 2, 1), f) == apply_word(op, (2, 1, 2), f)
+            assert apply_word(op, (1, 3), f) == apply_word(op, (3, 1), f)
 
 
 class TestApplyWord:
     def test_examples(self):
         f = random_beta_poly(__import__("random").Random(3), nvars=3)
-        assert apply_word("pi", (), f) == f
+        assert apply_word(isobaric, (), f) == f
         staircase = X(1, 3) ** 2 * X(2, 3)
-        assert apply_word("beta", (1, 2, 1), staircase) == MultiPoly.one(3)
+        assert apply_word(beta_divided_diff, (1, 2, 1), staircase) == MultiPoly.one(3)
 
     def test_reduced_word_independence(self):
         def all_reduced_words(w):
@@ -312,8 +312,8 @@ class TestApplyWord:
         for w in all_permutations(4):
             words = set(all_reduced_words(w))
             assert all(permutation_from_word(word) == w for word in words)
-            for kind in ("partial", "beta", "pi"):
-                values = {tuple(sorted(apply_word(kind, word, probe).terms.items()))
+            for op in (divided_diff, beta_divided_diff, isobaric):
+                values = {tuple(sorted(apply_word(op, word, probe).terms.items()))
                           for word in words}
                 assert len(values) == 1
 
@@ -545,8 +545,19 @@ class TestSerialization:
 
     def test_symmetrize_check(self):
         f = oplus(X(1, 2), X(2, 2))
-        assert symmetrize_check(f, 2)
-        assert not symmetrize_check(X(1, 2), 2)
+        assert symmetrize_check(f, 2, 2)
+        assert not symmetrize_check(X(1, 2), 2, 2)
+        # modulo degree: the asymmetric part lies above the bound
+        g = f + X(1, 2) ** 3
+        assert symmetrize_check(g, 2, 2)
+        assert not symmetrize_check(g, 2, 3)
+        # f is read in the window's variables: x1 + x2 is not symmetric in
+        # x1, x2, x3, while a constant is
+        for d in (1, 2, 3):
+            assert not symmetrize_check(X(1, 2) + X(2, 2), 3, d)
+            assert symmetrize_check(MultiPoly.one(1), 4, d)
+        # variables beyond the window may break the symmetry freely
+        assert symmetrize_check(X(1, 3) + X(2, 3) + X(3, 3) ** 2, 2, 2)
 
 
 class TestChainLemmas:
@@ -558,7 +569,7 @@ class TestChainLemmas:
             for b in range(a, a + 5):
                 for e in range(0, b - a + 1):
                     f = MultiPoly.x(a, b + 1) ** e if e else MultiPoly.one(b + 1)
-                    got = apply_word("beta", tuple(range(b - 1, a - 1, -1)), f)
+                    got = apply_word(beta_divided_diff, tuple(range(b - 1, a - 1, -1)), f)
                     want = MultiPoly.constant((-BETA) ** (b - a - e), b + 1)
                     assert got == want, (a, b, e)
 
@@ -572,8 +583,8 @@ class TestChainLemmas:
                 f = symmetrize_block(raw, a + 1, b) if b - a >= 2 else raw
                 for i in range(a + 1, b):
                     assert act_si(i, f) == f
-                lhs = apply_word("pi", word, f)
-                rhs = apply_word("beta", word, MultiPoly.x(a, b + 1) ** (b - a) * f)
+                lhs = apply_word(isobaric, word, f)
+                rhs = apply_word(beta_divided_diff, word, MultiPoly.x(a, b + 1) ** (b - a) * f)
                 assert lhs == rhs
 
     def test_isobaric_long_word_via_beta_chain(self, rng):
@@ -585,8 +596,8 @@ class TestChainLemmas:
                 stair = stair * MultiPoly.x(t + 1, n) ** (n - 1 - t)
             for _ in range(6):
                 f = random_beta_poly(rng, nvars=n, max_deg=2, laurent=True)
-                assert (apply_word("pi", word, f)
-                        == apply_word("beta", word, stair * f))
+                assert (apply_word(isobaric, word, f)
+                        == apply_word(beta_divided_diff, word, stair * f))
 
     def test_shifted_long_word_twist(self, rng):
         # the beta-chain over a shifted reversal equals the plain chain
@@ -601,5 +612,5 @@ class TestChainLemmas:
                     corr = corr * (1 + MultiPoly.beta(nv) * MultiPoly.x(m + j, nv)) ** (j - 1)
                 for _ in range(5):
                     f = random_beta_poly(rng, nvars=nv, max_deg=2)
-                    assert (apply_word("beta", word, f)
-                            == apply_word("partial", word, corr * f))
+                    assert (apply_word(beta_divided_diff, word, f)
+                            == apply_word(divided_diff, word, corr * f))

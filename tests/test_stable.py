@@ -18,6 +18,7 @@ from spgroth.polyring import (
     MultiPoly,
     act_si,
     apply_word,
+    isobaric,
     set_beta,
     symmetrize_check,
     truncate,
@@ -175,16 +176,14 @@ class TestTableauEngineAgainstBruteForce:
         for shape in [(), (1,), (2,), (3,), (2, 1), (4,), (3, 1)]:
             cells = _shifted_rows(shape)
             for nvars in (1, 2):
-                for diagonal_primes in (False, True):
-                    pools = [tuple(m for m in range(1, 2 * nvars + 1)
-                                   if diagonal_primes or i != j or m % 2 == 0)
-                             for i, j in cells]
-                    for max_weight in range(max(len(cells) - 1, 0), len(cells) + 3):
-                        got = sorted(tuple(t.items()) for t in shifted_set_valued_tableaux(
-                            shape, nvars, max_weight, diagonal_primes))
-                        want = sorted(oracle_tableaux(cells, pools, max_weight,
-                                                      _marked_le, _marked_col))
-                        assert got == want, (shape, nvars, diagonal_primes, max_weight)
+                pools = [tuple(m for m in range(1, 2 * nvars + 1) if i != j or m % 2 == 0)
+                         for i, j in cells]
+                for max_weight in range(max(len(cells) - 1, 0), len(cells) + 3):
+                    got = sorted(tuple(t.items())
+                                 for t in shifted_set_valued_tableaux(shape, nvars, max_weight))
+                    want = sorted(oracle_tableaux(cells, pools, max_weight,
+                                                  _marked_le, _marked_col))
+                    assert got == want, (shape, nvars, max_weight)
 
 
 class TestStableGrothPartition:
@@ -237,7 +236,7 @@ class TestStableGrothPerm:
 
         word3 = reduced_word(Permutation.longest(3))
         for v in all_permutations(3):
-            target = apply_word("pi", word3, grothendieck(v).embed(3))
+            target = apply_word(isobaric, word3, grothendieck(v).embed(3))
             for pad in (3, 4):
                 padded = grothendieck(shift_perm(pad, v)).restrict(3)
                 assert padded == target, (v, pad)
@@ -248,10 +247,6 @@ class TestShiftedTableaux:
         tabs = list(shifted_set_valued_tableaux((1,), 2, 3))
         assert sorted(t[(1, 1)] for t in tabs) == [(2,), (2, 4), (4,)]
 
-    def test_diagonal_primes_flag(self):
-        with_primes = list(shifted_set_valued_tableaux((1,), 1, 2, diagonal_primes=True))
-        assert sorted(t[(1, 1)] for t in with_primes) == [(1,), (1, 2), (2,)]
-
     def test_row_sharing_only_unprimed(self):
         tabs = {(t[(1, 1)], t[(1, 2)]) for t in shifted_set_valued_tableaux((2,), 2, 2)}
         assert ((2,), (2,)) in tabs        # unprimed may repeat along a row
@@ -259,10 +254,11 @@ class TestShiftedTableaux:
         assert ((2,), (3,)) in tabs and ((2,), (4,)) in tabs
 
     def test_column_sharing_only_primed(self):
-        tabs = {(t[(1, 2)], t[(2, 2)])
-                for t in shifted_set_valued_tableaux((2, 1), 2, 3, diagonal_primes=True)}
-        assert ((3,), (3,)) in tabs        # primed may repeat down a column
-        assert ((2,), (2,)) not in tabs    # unprimed may not
+        # column 3 of the shifted shape (3, 2) lies off the diagonal
+        tabs = {(t[(1, 3)], t[(2, 3)])
+                for t in shifted_set_valued_tableaux((3, 2), 3, 5)}
+        assert ((5,), (5,)) in tabs        # primed 3' may repeat down a column
+        assert ((4,), (4,)) not in tabs    # unprimed 2 may not
 
 
 class TestGPPartition:
