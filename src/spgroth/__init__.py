@@ -8,11 +8,9 @@ from .coxeter import (
     ShiftedFpfInvolution,
     all_fpf_involutions,
     all_permutations,
-    ascent_chain_to_top,
     bruhat_cover_up,
     dearc,
     fpf_cover_up,
-    fpf_grassmannian_from_shape,
     fpf_length,
     fpf_transition_indices,
     grassmannian_perm,
@@ -59,11 +57,9 @@ from .stable import (
     Window,
     expand_in_G_basis,
     expand_in_GP_basis,
-    g_via_pi_formula,
     gp_partition,
     gp_sp,
     gp_sp_positive_recurrence,
-    gp_sp_stabilized,
     gp_via_pi_formula,
     sp_grassmannian_formula,
     stable_groth_partition,

@@ -126,13 +126,6 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-def permutation_from_word(word) -> Permutation:
-    w = Permutation.identity()
-    for i in word:
-        w = w * Permutation.s(i)
-    return w
-
-
 def permutation_from_code(code) -> Permutation:
     """Inverse of Permutation.code: any finitely supported sequence of
     nonnegative integers is the code of a unique permutation."""
@@ -378,33 +371,6 @@ def is_fpf_grassmannian(z: FpfInvolution):
     return (n, firsts)
 
 
-def fpf_grassmannian_from_shape(lam: tuple[int, ...], n: int) -> FpfInvolution:
-    """The involution whose dearc consists of the arcs (n - lam_i, n + i);
-    inverse of is_fpf_grassmannian on its image.
-
-    The positions of [n] not used by those arcs must pair among themselves,
-    so the number of arcs matches the parity of n: when n - len(lam) is odd
-    an extra arc (n, n + len(lam) + 1), contributing a zero shape part, is
-    appended.  Decodes whose construction does not survive the arc-deletion
-    round trip name no involution and raise ValueError.
-    """
-    lam = as_strict_partition(lam)
-    if not lam:
-        return FpfInvolution.theta_involution()
-    if lam[0] >= n:
-        raise ValueError(f"need lam[0] < n, got {lam} with n={n}")
-    phis = tuple(n - l for l in lam)
-    if (n - len(phis)) % 2:
-        phis = phis + (n,)
-    cycles = [(phi, n + t + 1) for t, phi in enumerate(phis)]
-    leftover = [p for p in range(1, n + 1) if p not in phis]
-    cycles.extend((leftover[t], leftover[t + 1]) for t in range(0, len(leftover), 2))
-    z = FpfInvolution.from_cycles(cycles)
-    if is_fpf_grassmannian(z) != (n, phis) or sp_shape(z) != lam:
-        raise ValueError(f"no involution decodes to shape {lam} at n={n}")
-    return z
-
-
 def shift_fpf(m: int, z: FpfInvolution) -> FpfInvolution:
     """Prepend m base pairs: the involution (21)^m x z."""
     word = list(range(1, 2 * m + 1))
@@ -412,26 +378,6 @@ def shift_fpf(m: int, z: FpfInvolution) -> FpfInvolution:
         word[i], word[i + 1] = word[i + 1], word[i]
     word.extend(v + 2 * m for v in z.oneline)
     return FpfInvolution.from_oneline(word)
-
-
-def ascent_chain_to_top(z: FpfInvolution, n: int) -> tuple[int, ...]:
-    """A word (i_1, ..., i_m) so that conjugating z by s_{i_1}, s_{i_2}, ...
-    in turn raises the fpf length by one each step and ends at n...321.
-
-    Deterministic rule: always conjugate at the least i with z(i) < z(i+1).
-    """
-    if n % 2:
-        raise ValueError("need even n")
-    if n < z.support:
-        raise ValueError(f"n={n} below support {z.support}")
-    word = []
-    cur = z
-    top = FpfInvolution.top(n) if n else FpfInvolution.theta_involution()
-    while cur != top:
-        i = next(i for i in range(1, n) if cur(i) < cur(i + 1))
-        word.append(i)
-        cur = cur.conj_s(i)
-    return tuple(word)
 
 
 def all_fpf_involutions(n: int):

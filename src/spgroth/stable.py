@@ -1,4 +1,10 @@
-"""Stable limits, set-valued tableaux, and triangular basis expansions.
+"""Stable limits, shifted set-valued tableaux, and triangular basis expansions.
+
+Stable limits are isobaric long-word images pi_{w0}, taken over a parabolic
+quotient: the shape series G_lam is pi_{w0} of x^lam, and the stable limit
+of a permutation is pi_{w0} of its polynomial.  Set-valued tableaux remain
+only for the shifted shape series GP_lam; ordinary set-valued tableaux are
+the test oracle for G_lam.
 
 Symmetric-series identities are always asserted "at a window": in the
 variables x_1..nvars, modulo terms of total degree above maxdeg.  Expansion
@@ -12,7 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .coxeter import (
     FpfInvolution,
@@ -65,18 +71,19 @@ class Window:
 
 
 # ---------------------------------------------------------------------------
-# tableau enumeration
+# shifted set-valued tableaux
 # ---------------------------------------------------------------------------
 
 
-def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], primed,
-              max_weight: int):
+def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_weight: int):
     """Set-valued fillings of the cells (listed so that each cell comes after
     its left and upper neighbours) by nonempty subsets of their letter
-    pools, with at most max_weight letters in total.  Along a row
-    min(here) >= max(left), strictly when max(left) is primed; down a
-    column min(here) >= max(above), strictly unless max(above) is primed.
-    Yields per cell a sorted tuple, as a dict keyed by cell.
+    pools, with at most max_weight letters in total.  Letters are marked:
+    value v primed is 2v - 1 and unprimed is 2v, so integer order matches
+    1' < 1 < 2' < 2 < ...  Along a row min(here) >= max(left), strictly when
+    max(left) is primed; down a column min(here) >= max(above), strictly
+    unless max(above) is primed.  Yields per cell a sorted tuple, as a dict
+    keyed by cell.
 
     Iterative: a stack of per-cell subset iterators, so deep shapes need no
     recursion."""
@@ -96,10 +103,10 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], primed
         lo = 0
         if left[t] is not None:
             m = chosen[left[t]][-1]
-            lo = m + 1 if primed(m) else m
+            lo = m + 1 if m % 2 else m
         if above[t] is not None:
             m = chosen[above[t]][-1]
-            lo = max(lo, m if primed(m) else m + 1)
+            lo = max(lo, m if m % 2 else m + 1)
         pool = pools[t][bisect_left(pools[t], lo):]
         budget = max_weight - used[t] - (ncells - t - 1)
         return itertools.chain.from_iterable(
@@ -121,52 +128,6 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], primed
             stack.append(options(t + 1))
 
 
-def _tableau_series(tableaux, weight: int, nvars: int, variable: tuple[int, ...]) -> MultiPoly:
-    """Sum of beta^(letters - weight) x^content over the tableaux; letter m
-    counts towards x_(variable[m] + 1)."""
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for tab in tableaux:
-        exps = [0] * nvars
-        size = 0
-        for subset in tab.values():
-            size += len(subset)
-            for m in subset:
-                exps[variable[m]] += 1
-        key = (size - weight, tuple(exps))
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(nvars, counts)
-
-
-def _never_primed(m: int) -> bool:
-    return False
-
-
-def set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
-    """Semistandard set-valued fillings of the partition shape with entries
-    in 1..nvars and at most max_weight letters in total.  Yields per cell a
-    sorted tuple, as a dict keyed by (row, col)."""
-    shape = as_partition(shape)
-    cells = [(i, j) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
-    letters = tuple(range(1, nvars + 1))
-    yield from _fillings(cells, [letters] * len(cells), _never_primed, max_weight)
-
-
-def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
-    """Set-valued tableau generating function for the partition shape,
-    truncated at the window."""
-    lam = as_partition(lam)
-    tableaux = set_valued_tableaux(lam, win.nvars, win.maxdeg)
-    return _tableau_series(tableaux, sum(lam), win.nvars, tuple(range(-1, win.nvars)))
-
-
-# marked letters: value v primed -> 2v - 1, unprimed -> 2v (so integer order
-# matches the order 1' < 1 < 2' < 2 < ...)
-
-
-def _is_primed(m: int) -> bool:
-    return m % 2 == 1
-
-
 def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
     """Semistandard shifted set-valued fillings of the strict shape with
     marked letters of value at most nvars and at most max_weight letters.
@@ -177,16 +138,26 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     letters = tuple(range(1, 2 * nvars + 1))
     unprimed = tuple(range(2, 2 * nvars + 1, 2))
     pools = [letters if i != j else unprimed for i, j in cells]
-    yield from _fillings(cells, pools, _is_primed, max_weight)
+    yield from _fillings(cells, pools, max_weight)
 
 
 def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """Shifted set-valued tableau generating function for the strict shape,
-    truncated at the window."""
+    truncated at the window: the sum of beta^(letters - |lam|) x^content,
+    where the letters 2v - 1 and 2v count towards x_v."""
     lam = as_strict_partition(lam)
-    tableaux = shifted_set_valued_tableaux(lam, win.nvars, win.maxdeg)
-    variable = tuple((m + 1) // 2 - 1 for m in range(2 * win.nvars + 1))
-    return _tableau_series(tableaux, sum(lam), win.nvars, variable)
+    weight = sum(lam)
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for tab in shifted_set_valued_tableaux(lam, win.nvars, win.maxdeg):
+        exps = [0] * win.nvars
+        size = 0
+        for subset in tab.values():
+            size += len(subset)
+            for m in subset:
+                exps[(m - 1) // 2] += 1
+        key = (size - weight, tuple(exps))
+        counts[key] = counts.get(key, 0) + 1
+    return MultiPoly(win.nvars, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +165,15 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _long_word(n: int) -> tuple[int, ...]:
-    return reduced_word(Permutation.longest(n))
+@lru_cache(maxsize=1024)
+def _quotient_word(cuts: tuple[int, ...]) -> tuple[int, ...]:
+    """A reduced word of u = w0 * w0_J in S_n, n = cuts[-1], where w0_J
+    reverses each block of positions between consecutive cuts (0 = cuts[0]
+    < ... < cuts[-1] = n).  A polynomial symmetric in x_j, x_{j+1} inside
+    every block is fixed by pi_j there, so pi_{w0} = pi_u pi_{w0_J} acts on
+    it as pi_u.  Cutting at every position gives the long word."""
+    w0_J = Permutation.from_oneline(v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1))
+    return reduced_word(Permutation.longest(cuts[-1]) * w0_J)
 
 
 def _apply_pi_truncated(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> MultiPoly:
@@ -208,17 +185,27 @@ def _apply_pi_truncated(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> Mul
     return f
 
 
+def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
+    """Shape series at the window: the isobaric long-word image pi_{w0} of
+    x^lam in nvars variables, zero when lam has more rows than nvars.  x^lam
+    is symmetric wherever parts repeat (trailing zeros included), so only
+    the quotient w0 * w0_J acts, J the blocks of equal parts."""
+    lam = as_partition(lam)
+    n = win.nvars
+    if len(lam) > n:
+        return MultiPoly.zero(n)
+    exps = lam + (0,) * (n - len(lam))
+    cuts = (0, *(j for j in range(1, n) if exps[j - 1] > exps[j]), n)
+    return _apply_pi_truncated(_quotient_word(cuts), MultiPoly.monomial(exps), win.maxdeg)
+
+
 @cache
 def _stable_groth_perm_cached(oneline: tuple[int, ...], nvars: int, maxdeg: int) -> MultiPoly:
     w = Permutation(oneline)
     n = max(nvars, w.support)
-    # the polynomial of w is symmetric in x_j, x_{j+1} at every ascent j, and
-    # pi_j fixes such polynomials, so pi_{w0} = pi_u pi_{w0_J} with
-    # u = w0 * w0_J acts on it as pi_u; w0_J, the longest element generated
-    # by the ascents, reverses each block of positions between descents
-    cuts = (0, *w.descents(), n)
-    w0_J = Permutation.from_oneline(v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1))
-    word = reduced_word(Permutation.longest(n) * w0_J)
+    # the polynomial of w is symmetric in x_j, x_{j+1} at every ascent j, so
+    # the blocks of w0_J are the runs between descents
+    word = _quotient_word((0, *w.descents(), n))
     f = _apply_pi_truncated(word, grothendieck(w).embed(n), maxdeg)
     return f.restrict(nvars)
 
@@ -242,35 +229,6 @@ def gp_sp(z: FpfInvolution, win: Window) -> MultiPoly:
     return _combination(lambda w: stable_groth_perm(w, win), expansion.as_dict(), win.nvars)
 
 
-def gp_sp_stabilized(z: FpfInvolution, win: Window) -> MultiPoly:
-    """Cross-check route: isobaric long-word images for growing n until the
-    window stabilizes twice, within 8 extra variables; asserts a third
-    agreement."""
-    n = max(win.nvars, z.support, 2)
-    max_extra = 8
-    values = []
-    for extra in range(max_extra + 1):
-        f = _apply_pi_truncated(_long_word(n + extra), sp_grothendieck(z).embed(n + extra),
-                                win.maxdeg)
-        values.append(win.clip(f))
-        if len(values) >= 2 and values[-1] == values[-2]:
-            g = _apply_pi_truncated(_long_word(n + extra + 1),
-                                    sp_grothendieck(z).embed(n + extra + 1), win.maxdeg)
-            if win.clip(g) != values[-1]:
-                raise RuntimeError("window agreement was not stable")
-            return values[-1]
-    raise RuntimeError(f"no window stabilization within {max_extra} steps")
-
-
-def g_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
-    """Isobaric long-word image of the shape monomial, in n variables."""
-    lam = as_partition(lam)
-    if len(lam) > n:
-        raise ValueError("shape has more rows than variables")
-    exps = tuple(lam) + (0,) * (n - len(lam))
-    return apply_word(isobaric, _long_word(n), MultiPoly.monomial(exps))
-
-
 def _gp_operand(lam: tuple[int, ...], n: int) -> MultiPoly:
     """x^lam times the product over rows i and columns j > i of
     (x_i (+) x_j) / x_i, as a Laurent polynomial in n variables."""
@@ -290,7 +248,7 @@ def gp_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
     lam = as_strict_partition(lam)
     if len(lam) > n:
         raise ValueError("shape has more parts than variables")
-    f = apply_word(isobaric, _long_word(n), _gp_operand(lam, n))
+    f = apply_word(isobaric, _quotient_word(tuple(range(n + 1))), _gp_operand(lam, n))
     if f.has_negative_exponents():
         raise RuntimeError("isobaric image failed to be a polynomial")
     return f

@@ -9,10 +9,21 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from spgroth.coxeter import FpfInvolution, Permutation, ShiftedFpfInvolution, fpf_cover_up, theta
-from spgroth.grothendieck import grothendieck
-from spgroth.polyring import BetaInt, MultiPoly, beta_divided_diff, oplus
-from spgroth.stable import Window, _apply_pi_truncated, _long_word
+from spgroth.coxeter import (
+    FpfInvolution,
+    Permutation,
+    ShiftedFpfInvolution,
+    as_partition,
+    as_strict_partition,
+    fpf_cover_up,
+    is_fpf_grassmannian,
+    reduced_word,
+    sp_shape,
+    theta,
+)
+from spgroth.grothendieck import grothendieck, sp_grothendieck
+from spgroth.polyring import BetaInt, MultiPoly, apply_word, beta_divided_diff, isobaric, oplus
+from spgroth.stable import Window, _apply_pi_truncated, _fillings
 
 
 def oracle_inversions(word) -> int:
@@ -104,6 +115,10 @@ def oracle_sp_grothendieck(z: FpfInvolution) -> MultiPoly:
     return _oracle_sp_groth(z.oneline)
 
 
+def _long_word(n: int) -> tuple[int, ...]:
+    return reduced_word(Permutation.longest(n))
+
+
 def long_word_stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     """The stable limit of the permutation family through the whole long
     word of max(nvars, support), clipped after every isobaric step, then
@@ -111,6 +126,125 @@ def long_word_stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     n = max(win.nvars, w.support)
     f = _apply_pi_truncated(_long_word(n), grothendieck(w).embed(n), win.maxdeg)
     return f.restrict(win.nvars)
+
+
+def long_word_stable_groth_partition(lam: tuple[int, ...], n: int) -> MultiPoly:
+    """The shape series in n variables as the untruncated isobaric image of
+    x^lam through the whole long word."""
+    lam = as_partition(lam)
+    if len(lam) > n:
+        raise ValueError("shape has more rows than variables")
+    return apply_word(isobaric, _long_word(n), MultiPoly.monomial(lam + (0,) * (n - len(lam))))
+
+
+def gp_sp_stabilized(z: FpfInvolution, win: Window) -> MultiPoly:
+    """The symplectic stable limit through the whole long word of growing n,
+    until the window agrees twice, within 8 extra variables; a third
+    agreement is checked."""
+    n = max(win.nvars, z.support, 2)
+    max_extra = 8
+    values = []
+    for extra in range(max_extra + 1):
+        f = _apply_pi_truncated(_long_word(n + extra), sp_grothendieck(z).embed(n + extra),
+                                win.maxdeg)
+        values.append(win.clip(f))
+        if len(values) >= 2 and values[-1] == values[-2]:
+            g = _apply_pi_truncated(_long_word(n + extra + 1),
+                                    sp_grothendieck(z).embed(n + extra + 1), win.maxdeg)
+            if win.clip(g) != values[-1]:
+                raise RuntimeError("window agreement was not stable")
+            return values[-1]
+    raise RuntimeError(f"no window stabilization within {max_extra} steps")
+
+
+# -- ordinary set-valued tableaux ---------------------------------------------
+#
+# The shape series G_lam by Buch's set-valued tableaux (Acta Math. 2002).
+# They are the shifted filling rule of the library over unprimed letters
+# only: the letter 2v stands for v, rows are weak and columns strict.
+
+
+def oracle_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
+    """Semistandard set-valued fillings of the partition shape with entries
+    in 1..nvars and at most max_weight letters in total, each as a dict
+    keyed by (row, col) of sorted tuples."""
+    shape = as_partition(shape)
+    cells = [(i, j) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
+    unprimed = tuple(range(2, 2 * nvars + 1, 2))
+    for tab in _fillings(cells, [unprimed] * len(cells), max_weight):
+        yield {cell: tuple(m // 2 for m in subset) for cell, subset in tab.items()}
+
+
+def oracle_stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
+    """The shape series at the window as the sum of beta^(letters - |lam|)
+    x^content over the set-valued tableaux of at most maxdeg letters."""
+    lam = as_partition(lam)
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for tab in oracle_set_valued_tableaux(lam, win.nvars, win.maxdeg):
+        exps = [0] * win.nvars
+        for subset in tab.values():
+            for v in subset:
+                exps[v - 1] += 1
+        key = (sum(exps) - sum(lam), tuple(exps))
+        counts[key] = counts.get(key, 0) + 1
+    return MultiPoly(win.nvars, counts)
+
+
+# -- words and shapes ---------------------------------------------------------
+
+
+def permutation_from_word(word) -> Permutation:
+    w = Permutation.identity()
+    for i in word:
+        w = w * Permutation.s(i)
+    return w
+
+
+def fpf_grassmannian_from_shape(lam: tuple[int, ...], n: int) -> FpfInvolution:
+    """The involution whose dearc consists of the arcs (n - lam_i, n + i);
+    inverse of is_fpf_grassmannian on its image.
+
+    The positions of [n] not used by those arcs must pair among themselves,
+    so the number of arcs matches the parity of n: when n - len(lam) is odd
+    an extra arc (n, n + len(lam) + 1), contributing a zero shape part, is
+    appended.  Decodes whose construction does not survive the arc-deletion
+    round trip name no involution and raise ValueError.
+    """
+    lam = as_strict_partition(lam)
+    if not lam:
+        return FpfInvolution.theta_involution()
+    if lam[0] >= n:
+        raise ValueError(f"need lam[0] < n, got {lam} with n={n}")
+    phis = tuple(n - l for l in lam)
+    if (n - len(phis)) % 2:
+        phis = phis + (n,)
+    cycles = [(phi, n + t + 1) for t, phi in enumerate(phis)]
+    leftover = [p for p in range(1, n + 1) if p not in phis]
+    cycles.extend((leftover[t], leftover[t + 1]) for t in range(0, len(leftover), 2))
+    z = FpfInvolution.from_cycles(cycles)
+    if is_fpf_grassmannian(z) != (n, phis) or sp_shape(z) != lam:
+        raise ValueError(f"no involution decodes to shape {lam} at n={n}")
+    return z
+
+
+def ascent_chain_to_top(z: FpfInvolution, n: int) -> tuple[int, ...]:
+    """A word (i_1, ..., i_m) so that conjugating z by s_{i_1}, s_{i_2}, ...
+    in turn raises the fpf length by one each step and ends at n...321.
+
+    Deterministic rule: always conjugate at the least i with z(i) < z(i+1).
+    """
+    if n % 2:
+        raise ValueError("need even n")
+    if n < z.support:
+        raise ValueError(f"n={n} below support {z.support}")
+    word = []
+    cur = z
+    top = FpfInvolution.top(n) if n else FpfInvolution.theta_involution()
+    while cur != top:
+        i = next(i for i in range(1, n) if cur(i) < cur(i + 1))
+        word.append(i)
+        cur = cur.conj_s(i)
+    return tuple(word)
 
 
 def _oracle_groups(f: MultiPoly) -> list[tuple[tuple[int, ...], list[int]]]:

@@ -198,9 +198,11 @@ class TestArgparseSurface:
 
 
 # stdout sha256 of cheap ops, recorded before the packed-monomial kernel,
-# except the last seven: four recorded before the tableau engine and the
+# except the last eleven: four recorded before the tableau engine and the
 # expansion classes were merged, three before the stable limits applied only
-# the parabolic quotient of the long word; every op exits 0
+# the parabolic quotient of the long word, and four (repeated parts, more
+# rows than variables, the empty shape, an expansion) while the shape series
+# G was still a tableau sum; every op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -246,6 +248,14 @@ PINNED_OUTPUT = [
      "c5695116f2406319516189ec08eb897ff46a28d997877b3cab6855ac599d61ef"),
     ("expand GP-sp 35172846 --nvars 4 --maxdeg 7 --format json",
      "307820e711f540e32e28d4ac6f65cae110657627f6952a32591509d360d24277"),
+    ("compute G 2,2,1,1 --nvars 5 --maxdeg 9 --format json",
+     "2da20f02b8fbcda8a513c0c099b23b04f78307d0c136dbe0df9c83353a11265f"),
+    ("compute G 2,1 --nvars 1 --format json",
+     "56abde51e4d3c547b287ba1f9670b597a0142cde8a527c560ef383d4d28cdb17"),
+    ("compute G - --nvars 3 --format json",
+     "0fbe2d529bd7b7a384403e9a4f79f8c5a3bff2aeda9c92846dc5c4f1dbf27a13"),
+    ("expand G 2,2 --nvars 3 --maxdeg 6 --format json",
+     "afe652f23ba5031c8cf405aeec7fce672bbe7f478c9f2eb4eb5028d2eab08fef"),
 ]
 
 
@@ -273,8 +283,9 @@ class TestPackedRange:
 
 
 # stdout, stderr and exit code of precondition failures, recorded while the
-# CLI still turned each ValueError into its own error, except the last, which
-# pins the index check of the permutation transition
+# CLI still turned each ValueError into its own error, except the last two:
+# the index check of the permutation transition, and the packed range of the
+# first isobaric step of a one-row shape at the exponent limit
 PINNED_ERRORS = [
     ("expand groth 4321 --max-expansion-degree 2",
      "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
@@ -284,6 +295,9 @@ PINNED_ERRORS = [
      "error: need v(-1) = 0 with j < k\n"),
     ("expand sp-groth 4321 --basis G", "error: input is not symmetric at the window\n"),
     ("verify lenart-transition 13452 --k 0", "error: need k >= 1, got 0\n"),
+    ("compute G 16383 --nvars 2 --maxdeg 16383",
+     "error: exponent or beta power outside the packed range "
+     "(exponents -16384..16383, beta powers 0..32767)\n"),
 ]
 
 

@@ -6,11 +6,9 @@ from spgroth.coxeter import (
     ShiftedFpfInvolution,
     all_fpf_involutions,
     all_permutations,
-    ascent_chain_to_top,
     bruhat_cover_up,
     dearc,
     fpf_cover_up,
-    fpf_grassmannian_from_shape,
     fpf_length,
     fpf_transition_indices,
     format_word,
@@ -19,7 +17,6 @@ from spgroth.coxeter import (
     parse_fpf,
     parse_permutation,
     perm_length,
-    permutation_from_word,
     reduced_word,
     shift_fpf,
     shift_perm,
@@ -33,10 +30,13 @@ from spgroth.coxeter import (
 )
 
 from helpers import (
+    ascent_chain_to_top,
+    fpf_grassmannian_from_shape,
     oracle_fpf_length,
     oracle_inversions,
     oracle_lex_least_reduced_word,
     oracle_min_conjugating_length,
+    permutation_from_word,
 )
 
 THETA = FpfInvolution.theta_involution()

@@ -4,7 +4,6 @@ from spgroth.coxeter import (
     FpfInvolution,
     all_fpf_involutions,
     all_permutations,
-    ascent_chain_to_top,
     fpf_length,
     parse_fpf,
     parse_permutation,
@@ -33,6 +32,7 @@ from helpers import (
     S3_TABLE,
     SP4_TABLE,
     SP_351624_TERMS,
+    ascent_chain_to_top,
     oracle_grothendieck,
     oracle_sp_grothendieck,
     poly_from_beta_terms,

@@ -4,7 +4,6 @@ from hypothesis import Phase, find, given, settings, strategies as stgs
 from spgroth.coxeter import (
     Permutation,
     all_permutations,
-    permutation_from_word,
     reduced_word,
     shift_perm,
 )
@@ -30,6 +29,7 @@ from spgroth.polyring import (
 from helpers import (
     oracle_canonical_text,
     oracle_json_obj,
+    permutation_from_word,
     random_beta_poly,
     ref_act_si,
     ref_add,

@@ -7,6 +7,7 @@ from spgroth.coxeter import (
     all_permutations,
     fpf_transition_indices,
     grassmannian_perm,
+    partitions_of,
     parse_fpf,
     parse_permutation,
     shift_fpf,
@@ -28,13 +29,10 @@ from spgroth.stable import (
     _unframe,
     expand_in_G_basis,
     expand_in_GP_basis,
-    g_via_pi_formula,
     gp_partition,
     gp_sp,
     gp_sp_positive_recurrence,
-    gp_sp_stabilized,
     gp_via_pi_formula,
-    set_valued_tableaux,
     shifted_set_valued_tableaux,
     sp_grassmannian_formula,
     stable_groth_partition,
@@ -44,11 +42,15 @@ from spgroth.stable import (
 )
 
 from helpers import (
+    gp_sp_stabilized,
+    long_word_stable_groth_partition,
     long_word_stable_groth_perm,
     oracle_positive_recurrence,
+    oracle_set_valued_tableaux,
     oracle_shifted_cover_list_above,
     oracle_shifted_cover_list_below,
     oracle_shifted_products,
+    oracle_stable_groth_partition,
     oracle_tableaux,
     poly_from_beta_terms,
 )
@@ -125,15 +127,15 @@ class TestWindow:
 
 class TestSetValuedTableaux:
     def test_single_cell(self):
-        tabs = list(set_valued_tableaux((1,), 2, 3))
+        tabs = list(oracle_set_valued_tableaux((1,), 2, 3))
         assert sorted(t[(1, 1)] for t in tabs) == [(1,), (1, 2), (2,)]
 
     def test_column_strictness(self):
-        tabs = list(set_valued_tableaux((1, 1), 2, 4))
+        tabs = list(oracle_set_valued_tableaux((1, 1), 2, 4))
         assert sorted(t[(1, 1)] + t[(2, 1)] for t in tabs) == [(1, 2)]
 
     def test_row_weakness_allows_sharing(self):
-        tabs = set(tuple(sorted(t.items())) for t in set_valued_tableaux((2,), 2, 4))
+        tabs = set(tuple(sorted(t.items())) for t in oracle_set_valued_tableaux((2,), 2, 4))
         assert ((((1, 1), (1,)), ((1, 2), (1,)))) in tabs
         assert ((((1, 1), (1,)), ((1, 2), (1, 2)))) in tabs
 
@@ -157,7 +159,8 @@ def _marked_col(a, b):
 
 class TestTableauEngineAgainstBruteForce:
     """Both tableau generators against every filling that passes the pairwise
-    letter rules, including shapes too small for the weight bound."""
+    letter rules, including shapes too small for the weight bound.  The
+    ordinary one is the shifted engine over unprimed letters only."""
 
     def test_ordinary(self):
         for shape in [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1),
@@ -166,8 +169,8 @@ class TestTableauEngineAgainstBruteForce:
             for nvars in (1, 2, 3):
                 pool = tuple(range(1, nvars + 1))
                 for max_weight in range(max(len(cells) - 1, 0), len(cells) + 3):
-                    got = sorted(tuple(t.items())
-                                 for t in set_valued_tableaux(shape, nvars, max_weight))
+                    got = sorted(tuple(t.items()) for t in
+                                 oracle_set_valued_tableaux(shape, nvars, max_weight))
                     want = sorted(oracle_tableaux(cells, [pool] * len(cells), max_weight,
                                                   lambda a, b: a <= b, lambda a, b: a < b))
                     assert got == want, (shape, nvars, max_weight)
@@ -192,6 +195,21 @@ class TestStableGrothPartition:
         assert stable_groth_partition((), win) == MultiPoly.one(1)
         assert stable_groth_partition((1,), win) == poly_from_beta_terms(2, G1)
 
+    def test_equals_tableau_oracle(self):
+        for win in (Window(3, 8), Window(4, 9)):
+            for size in range(9):
+                for lam in partitions_of(size):
+                    got = stable_groth_partition(lam, win)
+                    want = oracle_stable_groth_partition(lam, win)
+                    assert got.nvars == want.nvars == win.nvars, (lam, win)
+                    assert got.canonical_text() == want.canonical_text(), (lam, win)
+
+    def test_zero_beyond_nvars(self):
+        for lam, win in [((1, 1, 1), Window(2, 5)), ((2, 1), Window(1, 3)),
+                         ((3, 3, 2, 1), Window(3, 12))]:
+            f = stable_groth_partition(lam, win)
+            assert not f and f.nvars == win.nvars, (lam, win)
+
     def test_schur_at_beta_zero(self):
         # single-valued tableaux survive, giving the Schur polynomial
         win = Window(3, 3)
@@ -213,7 +231,7 @@ class TestStableGrothPerm:
         win = Window(3, 4)
         for lam in [(1,), (2,), (1, 1), (2, 1)]:
             assert (stable_groth_perm(grassmannian_perm(lam), win)
-                    == stable_groth_partition(lam, win)), lam
+                    == oracle_stable_groth_partition(lam, win)), lam
 
     def test_ascents_are_symmetries(self):
         # the premise of the parabolic quotient: the polynomial of w is
@@ -321,15 +339,14 @@ class TestWindowSymmetryOfAllProducers:
 
 class TestPiFormulas:
     def test_g_examples(self):
-        assert g_via_pi_formula((), 3) == MultiPoly.one(1)
-        assert g_via_pi_formula((1,), 2) == poly_from_beta_terms(2, G1)
-        with pytest.raises(ValueError):
-            g_via_pi_formula((1, 1, 1), 2)
+        assert long_word_stable_groth_partition((), 3) == MultiPoly.one(1)
+        assert long_word_stable_groth_partition((1,), 2) == poly_from_beta_terms(2, G1)
+        assert stable_groth_partition((1, 1, 1), Window(2, 3)) == MultiPoly.zero(2)
 
     def test_g_dual_route(self):
         for lam in [(1,), (2,), (2, 1), (1, 1)]:
             n = 3
-            f = g_via_pi_formula(lam, n)
+            f = long_word_stable_groth_partition(lam, n)
             d = f.total_degree()
             win = Window(n, d)
             assert truncate(f, d) == stable_groth_partition(lam, win), lam
