@@ -66,9 +66,12 @@ def _parse(kind: str, text: str):
 
 def _emit_poly(f: MultiPoly, args, meta: dict) -> None:
     if args.format == "json":
-        obj = {"schema_version": SCHEMA_VERSION, **meta,
-               "nvars": f.nvars, "terms": f.to_json_obj()}
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        obj = {"schema_version": SCHEMA_VERSION, **meta, "nvars": f.nvars, "terms": []}
+        header = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        # the terms array is serialized as text, in the dump's own format, and
+        # spliced in; a string value escapes its quotes, so the key is found
+        before, _, after = header.rpartition('"terms":[]')
+        print(before, '"terms":', f.canonical_json_terms(), after, sep="")
     else:
         print(f.canonical_text())
 

@@ -21,9 +21,11 @@ the range raises ExponentRangeError, a ValueError, and never wraps into a
 neighbouring field.
 
 Tuples stay at the boundary: the constructor accepts {(beta_power,
-exponents): c}, and the queries and serializers return exponent tuples.
-All arithmetic is exact integer arithmetic; no coefficient ring beyond
-Z[beta] is supported.  Serialized output is bit-stable across runs.
+exponents): c}, and the queries return exponent tuples.  Both serialized
+forms, the canonical text and the JSON terms array, are written by one
+chunked pass over the sorted keys, which are already in the canonical
+order.  All arithmetic is exact integer arithmetic; no coefficient ring
+beyond Z[beta] is supported.  Serialized output is bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import groupby
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator
 
@@ -278,9 +281,12 @@ class MultiPoly:
         out: dict[int, int] = {}
         for k, c in self.terms.items():
             if k & tail_mask != pad:
-                if any(e > 0 for e in lay.exps(k >> FIELD_BITS)[nvars:]):
-                    continue
-                raise ValueError("restriction of a negative exponent")
+                # a dropped exponent is nonzero, so the term vanishes unless
+                # none is positive; the bias bits (pad) mark those >= 0
+                if (k & pad != pad
+                        and not any(e > 0 for e in lay.exps(k >> FIELD_BITS)[nvars:])):
+                    raise ValueError("restriction of a negative exponent")
+                continue
             out[((k >> cut) << FIELD_BITS) + (k & _FIELD)] = c
         return MultiPoly._raw(nvars, out)
 
@@ -422,63 +428,25 @@ class MultiPoly:
 
     # -- canonical serialization --------------------------------------------
 
-    def _canonical_groups(self) -> Iterator[tuple[int, list[int]]]:
-        """(key shifted right by one field, dense beta coefficients) per
-        x-monomial in the canonical order: one pass over the sorted keys,
-        whose beta fields are lowest."""
-        terms = self.terms
-        run = None
-        coeffs: list[int] = []
-        for k in sorted(terms):
-            xk = k >> FIELD_BITS
-            if xk != run:
-                if coeffs:
-                    yield run, coeffs
-                run, coeffs = xk, []
-            bp = k & _FIELD
-            if bp > len(coeffs):
-                coeffs += [0] * (bp - len(coeffs))
-            coeffs.append(terms[k])
-        if coeffs:
-            yield run, coeffs
-
     def canonical_terms(self) -> list[tuple[tuple[int, ...], BetaInt]]:
         """Terms as (exponents, Z[beta]-coefficient), in the canonical order."""
         exps = _layout(self.nvars).exps
-        return [(exps(xk), BetaInt(tuple(coeffs))) for xk, coeffs in self._canonical_groups()]
+        out = []
+        for xk, keys in groupby(sorted(self.terms), key=lambda k: k >> FIELD_BITS):
+            coeffs = {k & _FIELD: self.terms[k] for k in keys}
+            out.append((exps(xk), BetaInt(tuple(coeffs.get(bp, 0)
+                                                for bp in range(max(coeffs) + 1)))))
+        return out
 
     def canonical_text(self) -> str:
         """The canonical_terms() coefficients in bracket form with their
-        x-factors, written in one pass without building a BetaInt per term."""
-        n = self.nvars
-        exps = _layout(n).exps
-        names = [_FactorNames(f"x{i + 1}") for i in range(n)]
-        name = _FactorNames.__getitem__
-        # the factors of x_1..x_cut and of the rest, memoized by their fields:
-        # each half takes far fewer values than the whole monomial
-        cut = (n + 1) // 2
-        lo_bits = FIELD_BITS * (n - cut)
-        lo_mask, hi_mask = (1 << lo_bits) - 1, (1 << (FIELD_BITS * cut)) - 1
-        hi_text: dict[int, str] = {}
-        lo_text: dict[int, str] = {}
-        parts = []
-        for xk, coeffs in self._canonical_groups():
-            hi, lo = (xk >> lo_bits) & hi_mask, xk & lo_mask
-            t_hi, t_lo = hi_text.get(hi), lo_text.get(lo)
-            if t_hi is None or t_lo is None:
-                e = exps(xk)
-                t_hi = hi_text[hi] = " ".join(filter(None, map(name, names[:cut], e[:cut])))
-                t_lo = lo_text[lo] = " ".join(filter(None, map(name, names[cut:], e[cut:])))
-            factors = t_hi + " " + t_lo if t_hi and t_lo else t_hi or t_lo
-            text = "[" + ",".join(map(str, coeffs)) + "]"
-            parts.append(text + " * " + factors if factors else text)
-        return " + ".join(parts) if parts else "0"
+        x-factors, joined by " + "; "0" for the zero polynomial."""
+        return _serialize(self, as_json=False) or "0"
 
-    def to_json_obj(self) -> list[dict]:
-        """The canonical_terms() as {"exps": [...], "beta": [...]} objects."""
-        exps = _layout(self.nvars).exps
-        return [{"exps": list(exps(xk)), "beta": coeffs}
-                for xk, coeffs in self._canonical_groups()]
+    def canonical_json_terms(self) -> str:
+        """The canonical_terms() as the text of a JSON array of
+        {"beta": [...], "exps": [...]} objects, keys sorted, no spaces."""
+        return "[" + _serialize(self, as_json=True) + "]"
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.canonical_text()!r})"
@@ -496,6 +464,82 @@ class _FactorNames(dict):
     def __missing__(self, e: int) -> str:
         name = self[e] = "" if e == 0 else self.var if e == 1 else f"{self.var}^{e}"
         return name
+
+
+class _ExponentText(dict):
+    """The decimal text of an exponent."""
+
+    __slots__ = ()
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = str(e)
+        return text
+
+
+_CHUNK = 2048  # terms joined per chunk before the chunks are joined
+
+
+def _serialize(f: MultiPoly, as_json: bool) -> str:
+    """The terms of f in the canonical order as text, joined by " + ", or
+    as JSON objects, joined by ","; "" for the zero polynomial.
+
+    One pass over the sorted keys.  The keys of one x-monomial are adjacent,
+    with their beta powers increasing, so each run extends the dense
+    coefficient text of its monomial.  The monomial's text is memoized per
+    half, x_1..x_cut and the rest: each half takes far fewer values than the
+    whole.  Terms are joined a chunk at a time, so no list of every term's
+    text exists beside the result."""
+    n = f.nvars
+    terms = f.terms
+    exps = _layout(n).exps
+    if as_json:
+        head, mid, open_, close, sep = '{"beta":[', ",", '],"exps":[', "]}", ","
+        names = [_ExponentText()] * n
+    else:
+        head, mid, open_, close, sep = "[", " ", "] * ", "", " + "
+        names = [_FactorNames(f"x{i + 1}") for i in range(n)]
+    name = dict.__getitem__
+    cut = (n + 1) // 2
+    lo_bits = FIELD_BITS * (n - cut)
+    lo_mask, hi_mask = (1 << lo_bits) - 1, (1 << (FIELD_BITS * cut)) - 1
+    hi_text: dict[int, str] = {}
+    lo_text: dict[int, str] = {}
+    heads: dict[int, str] = {}  # head plus the zero coefficients below a beta power
+    chunks: list[str] = []
+    chunk: list[str] = []
+    append = chunk.append
+    run = None
+    text = tail = ""
+    last = 0
+    for k in sorted(terms):
+        xk = k >> FIELD_BITS
+        bp = k & _FIELD
+        if xk == run:  # a higher beta power of the same monomial
+            text += "," + "0," * (bp - last - 1) + str(terms[k])
+            last = bp
+            continue
+        if run is not None:
+            append(text + tail)
+            if len(chunk) == _CHUNK:
+                chunks.append(sep.join(chunk))
+                chunk.clear()
+        run, last = xk, bp
+        start = heads.get(bp)
+        if start is None:
+            start = heads[bp] = head + "0," * bp
+        text = start + str(terms[k])
+        hi, lo = (xk >> lo_bits) & hi_mask, xk & lo_mask
+        t_hi, t_lo = hi_text.get(hi), lo_text.get(lo)
+        if t_hi is None or t_lo is None:
+            e = exps(xk)
+            t_hi = hi_text[hi] = mid.join(filter(None, map(name, names[:cut], e[:cut])))
+            t_lo = lo_text[lo] = mid.join(filter(None, map(name, names[cut:], e[cut:])))
+        factors = t_hi + mid + t_lo if t_hi and t_lo else t_hi or t_lo
+        tail = open_ + factors + close if factors else "]"
+    if run is not None:
+        append(text + tail)
+        chunks.append(sep.join(chunk))
+    return sep.join(chunks)
 
 
 # -- operators --------------------------------------------------------------

@@ -220,13 +220,22 @@ def stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     return _stable_groth_perm_cached(w.oneline, win.nvars, win.maxdeg)
 
 
+@lru_cache(maxsize=256)
+def _gp_sp_cached(oneline: tuple[int, ...], nvars: int, maxdeg: int) -> MultiPoly:
+    win = Window(nvars, maxdeg)
+    expansion = expand_in_grothendieck_basis_censored(
+        sp_grothendieck(FpfInvolution(oneline)), maxdeg)
+    return _combination(lambda w: stable_groth_perm(w, win), expansion.as_dict(), nvars)
+
+
 def gp_sp(z: FpfInvolution, win: Window) -> MultiPoly:
     """Symplectic stable limit at the window, by expanding in the
     permutation basis and stabilizing term by term.  Coefficients on indices
     of length above maxdeg are censored; their stable images vanish at the
-    window.  The terms are window values, so their sum is one too."""
-    expansion = expand_in_grothendieck_basis_censored(sp_grothendieck(z), win.maxdeg)
-    return _combination(lambda w: stable_groth_perm(w, win), expansion.as_dict(), win.nvars)
+    window.  The terms are window values, so their sum is one too.  The
+    recurrences ask for the same (z, window) many times, so the last few
+    hundred results are kept."""
+    return _gp_sp_cached(z.oneline, win.nvars, win.maxdeg)
 
 
 def _gp_operand(lam: tuple[int, ...], n: int) -> MultiPoly:

@@ -7,6 +7,7 @@ code paths it checks.
 from __future__ import annotations
 
 import itertools
+import json
 from functools import cache
 
 from spgroth.coxeter import (
@@ -275,6 +276,11 @@ def oracle_canonical_text(f: MultiPoly) -> str:
 def oracle_json_obj(f: MultiPoly) -> list[dict]:
     """The JSON terms by their definition, in the same order."""
     return [{"exps": list(exps), "beta": coeffs} for exps, coeffs in _oracle_groups(f)]
+
+
+def oracle_json_text(f: MultiPoly) -> str:
+    """The JSON terms as the CLI's dump prints them: keys sorted, no spaces."""
+    return json.dumps(oracle_json_obj(f), sort_keys=True, separators=(",", ":"))
 
 
 # -- the tuple-keyed kernel: {(beta power, exponents): c} dicts ---------------

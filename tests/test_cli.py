@@ -198,11 +198,13 @@ class TestArgparseSurface:
 
 
 # stdout sha256 of cheap ops, recorded before the packed-monomial kernel,
-# except the last eleven: four recorded before the tableau engine and the
-# expansion classes were merged, three before the stable limits applied only
-# the parabolic quotient of the long word, and four (repeated parts, more
-# rows than variables, the empty shape, an expansion) while the shape series
-# G was still a tableau sum; every op exits 0
+# except the text of the rank-8 top element, recorded while the serializers
+# still built the terms one by one, and the last eleven: four recorded
+# before the tableau engine and the expansion classes were merged, three
+# before the stable limits applied only the parabolic quotient of the long
+# word, and four (repeated parts, more rows than variables, the empty shape,
+# an expansion) while the shape series G was still a tableau sum; every op
+# exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -214,6 +216,8 @@ PINNED_OUTPUT = [
      "0b7cc170d127c5ea2c33d3efe4a530f8484dc03f1dadc08d32781848374d3d3c"),
     ("compute sp-groth 8,7,6,5,4,3,2,1 --format json",
      "bc41c2dd678872d324167fb7eaf1e6b34c7dd7ac24cb794f36b3c5e1968d696f"),
+    ("compute sp-groth 8,7,6,5,4,3,2,1",
+     "9ac18f2084eeee17d066d846267e0b698ed725f20e3982ed856abf3913d21583"),
     ("compute G 2,1 --nvars 3 --maxdeg 5",
      "1e1118871f197343bb9e89ed6dc377ccea9d4a9ae02b00c4395e15477de35bb5"),
     ("compute GP 3,1 --nvars 3 --maxdeg 6 --format json",

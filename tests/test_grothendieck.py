@@ -173,7 +173,7 @@ class TestSpDominant:
 
 def _same_output(f: MultiPoly, g: MultiPoly) -> bool:
     """Equal as printed: text, JSON terms and variable count."""
-    return (f.canonical_text() == g.canonical_text() and f.to_json_obj() == g.to_json_obj()
+    return (f.canonical_text() == g.canonical_text() and f.canonical_json_terms() == g.canonical_json_terms()
             and f.nvars == g.nvars)
 
 

@@ -1,13 +1,18 @@
+import json
+
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as stgs
 
 from spgroth.coxeter import (
+    FpfInvolution,
     Permutation,
     all_permutations,
     reduced_word,
     shift_perm,
 )
+from spgroth.grothendieck import sp_grothendieck
 from spgroth.polyring import (
+    _CHUNK,
     BETA_MAX,
     EXP_MAX,
     EXP_MIN,
@@ -29,6 +34,7 @@ from spgroth.polyring import (
 from helpers import (
     oracle_canonical_text,
     oracle_json_obj,
+    oracle_json_text,
     permutation_from_word,
     random_beta_poly,
     ref_act_si,
@@ -381,6 +387,23 @@ class TestPackedKernelAgainstReference:
                 continue
             assert ref_terms(f.restrict(m)) == want and f.restrict(m).nvars == m
 
+    def test_restrict_dropped_signs(self):
+        # a positive dropped exponent drops the term, even beside a negative one
+        for exps in ((1, 2, -1), (1, -1, 2), (1, 1, 0), (1, 0, 3)):
+            f = MultiPoly(3, {(0, (1, 0, 0)): 1, (1, exps): 5})
+            assert f.restrict(1) == MultiPoly(1, {(0, (1,)): 1}), exps
+            assert ref_restrict(ref_terms(f), 1) == {(0, (1,)): 1}
+        # the call raises only when every dropped exponent is <= 0 and one is negative
+        for exps in ((1, 0, -1), (1, -2, -1), (1, -1, 0)):
+            f = MultiPoly(3, {(0, (1, 0, 0)): 1, (1, exps): 5})
+            with pytest.raises(ValueError, match="negative exponent"):
+                f.restrict(1)
+            with pytest.raises(ValueError):
+                ref_restrict(ref_terms(f), 1)
+        # the kept variables may be negative
+        g = MultiPoly(3, {(2, (-3, 0, 0)): 4, (0, (-1, 0, 2)): 1})
+        assert g.restrict(1) == MultiPoly(1, {(2, (-3,)): 4})
+
     @given(sized_terms())
     def test_operators(self, sized):
         n, terms = sized
@@ -534,14 +557,41 @@ class TestSerialization:
     @given(sized_terms())
     def test_json_matches_term_route(self, sized):
         f = MultiPoly(*sized)
-        assert f.to_json_obj() == oracle_json_obj(f)
+        assert f.canonical_json_terms() == oracle_json_text(f)
         assert [(e, c.coeffs) for e, c in f.canonical_terms()] == \
             [(tuple(t["exps"]), tuple(t["beta"])) for t in oracle_json_obj(f)]
 
     def test_json_round_stability(self):
         f = oplus(X(1, 3), X(2, 3)) * X(3, 3)
-        assert f.to_json_obj() == f.to_json_obj()
-        assert f.to_json_obj()[0]["exps"] == [0, 1, 1]
+        assert f.canonical_json_terms() == f.canonical_json_terms()
+        assert json.loads(f.canonical_json_terms())[0] == {"beta": [1], "exps": [0, 1, 1]}
+
+    def test_walk_across_chunks(self):
+        # more terms than two chunks, runs of beta powers with gaps, and
+        # negative exponents
+        g = sp_grothendieck(FpfInvolution.top(8))
+        assert len(g.terms) == 9501
+        f = g + g * BETA * 3 + g * X(1, 1, power=-2) + g * BETA ** 3 * X(8, 8)
+        assert len(f.x_monomials()) > 2 * _CHUNK
+        assert len(f.terms) > len(f.x_monomials())
+        assert f.canonical_text() == oracle_canonical_text(f)
+        assert f.canonical_json_terms() == oracle_json_text(f)
+
+    def test_walk_small_and_boundary_cases(self):
+        polys = [MultiPoly.zero(1), MultiPoly.zero(4), MultiPoly.one(1),
+                 MultiPoly(1, {(0, (-3,)): 2, (2, (-3,)): -1, (5, (0,)): 7, (1, (4,)): 1}),
+                 MultiPoly(2, {(3, (0, 0)): 1, (0, (0, -1)): 2})]
+        # a chunk filled exactly, and one term past it
+        for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK):
+            polys.append(MultiPoly(1, {(e % 3, (e,)): e + 1 for e in range(n)}))
+        for f in polys:
+            assert f.canonical_text() == oracle_canonical_text(f)
+            assert f.canonical_json_terms() == oracle_json_text(f)
+        assert MultiPoly.zero(3).canonical_text() == "0"
+        assert MultiPoly.zero(3).canonical_json_terms() == "[]"
+        assert polys[3].canonical_json_terms() == \
+            '[{"beta":[2,0,-1],"exps":[-3]},{"beta":[0,0,0,0,0,7],"exps":[0]},' \
+            '{"beta":[0,1],"exps":[4]}]'
 
     def test_symmetrize_check(self):
         f = oplus(X(1, 2), X(2, 2))

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from spgroth.coxeter import (
@@ -13,6 +15,7 @@ from spgroth.coxeter import (
     shift_fpf,
     shift_perm,
 )
+import spgroth.stable as stable
 from spgroth.grothendieck import _transposition_products, grothendieck, sp_grothendieck
 from spgroth.polyring import (
     BetaInt,
@@ -322,6 +325,29 @@ class TestGpSp:
         win = Window(3, 4)
         for word in ["4321", "351624"]:
             assert symmetrize_check(gp_sp(parse_fpf(word), win), win.nvars, win.maxdeg)
+
+    def test_one_build_per_element_and_window(self, monkeypatch):
+        builds = []
+        expand = stable.expand_in_grothendieck_basis_censored
+
+        def counting(f, maxdeg):
+            builds.append(maxdeg)
+            return expand(f, maxdeg)
+
+        monkeypatch.setattr(stable, "expand_in_grothendieck_basis_censored", counting)
+        stable._gp_sp_cached.cache_clear()
+        first = gp_sp(parse_fpf("351624"), Window(3, 4))
+        for _ in range(3):
+            assert gp_sp(parse_fpf("351624"), Window(3, 4)) is first
+        assert len(builds) == 1
+        gp_sp(parse_fpf("351624"), Window(3, 5))
+        gp_sp(parse_fpf("351624"), Window(4, 4))
+        gp_sp(parse_fpf("4321"), Window(3, 4))
+        assert len(builds) == 4
+        assert stable._gp_sp_cached.cache_info().maxsize is not None
+        # the public function stays a plain function, which tracing wraps
+        assert inspect.isfunction(gp_sp)
+        stable._gp_sp_cached.cache_clear()
 
 
 class TestWindowSymmetryOfAllProducers:

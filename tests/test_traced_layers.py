@@ -17,7 +17,9 @@ WINDOW = ["--nvars", "3", "--maxdeg", "5"]
 
 # per workload, ops that are cheap but take the same code paths
 SMALL = {
-    "family-rank10": [["compute", "sp-groth", "3,5,1,6,2,4"]],
+    # the JSON op: the tracer's method list may name serializers that are gone
+    "family-rank10": [["compute", "sp-groth", "3,5,1,6,2,4"],
+                      ["compute", "sp-groth", "3,5,1,6,2,4", "--format", "json"]],
     "stable-window": [["compute", "GP", "2,1", *WINDOW],
                       ["expand", "GP", "2,1", *WINDOW, "--basis", "G"],
                       ["expand", "G", "2,1", *WINDOW]],
