@@ -50,7 +50,6 @@ from .polyring import (
     divided_diff,
     isobaric,
     oplus,
-    set_beta,
     truncate,
 )
 from .stable import (

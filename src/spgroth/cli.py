@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import coxeter as cx
 from . import stable as st
@@ -136,37 +137,43 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _run_verify(name: str, args) -> tuple[bool, str]:
+def _sides(lhs: MultiPoly, rhs: MultiPoly) -> Callable[[], str]:
+    """The FAIL detail of a two-sided check, serialized only when called."""
+    return lambda: f"lhs = {lhs.canonical_text()}\nrhs = {rhs.canonical_text()}"
+
+
+def _run_verify(name: str, args) -> tuple[bool, Callable[[], str]]:
+    """(verdict, detail): detail() is the text printed under FAIL, "" for
+    none."""
     win = _window(args)
     if name == "lenart-transition":
         if args.k is None:
             raise _precondition_error("lenart-transition needs --k")
         chk = verify_lenart_transition(_parse("perm", args.element), args.k)
-        detail = (f"lhs = {chk.lhs.canonical_text()}\nrhs = {chk.rhs.canonical_text()}")
-        return chk.equal and bool(chk.signed_equal), detail
+        return chk.equal and bool(chk.signed_equal), _sides(chk.lhs, chk.rhs)
     if name == "sp-transition":
         if args.j is None or args.k is None:
             raise _precondition_error("sp-transition needs --j and --k")
         chk = verify_sp_transition(_parse("fpf", args.element), args.j, args.k)
-        return chk.equal, f"lhs = {chk.lhs.canonical_text()}\nrhs = {chk.rhs.canonical_text()}"
+        return chk.equal, _sides(chk.lhs, chk.rhs)
     if name == "sp-recurrence":
         chk = sp_transition_recurrence(_parse("fpf", args.element))
-        return chk.certified, f"lhs = {chk.lhs.canonical_text()}\nrhs = {chk.rhs.canonical_text()}"
+        return chk.certified, _sides(chk.lhs, chk.rhs)
     if name == "f-grass":
         z = _parse("fpf", args.element)
         if cx.is_fpf_grassmannian(z) is None:
             raise _precondition_error(f"{z!r} is not FPF-Grassmannian")
         lhs = st.gp_sp(z, win)
         rhs = st.gp_partition(cx.sp_shape(z), win)
-        return lhs == rhs, f"lhs = {lhs.canonical_text()}\nrhs = {rhs.canonical_text()}"
+        return lhs == rhs, _sides(lhs, rhs)
     if name == "stable-sp-transition":
         if args.j is None or args.k is None:
             raise _precondition_error("stable-sp-transition needs --j and --k")
         z = cx.ShiftedFpfInvolution(_parse("fpf", args.element), args.offset)
         ok = st.verify_stable_sp_transition(z, args.j, args.k, win)
-        return ok, f"window nvars={win.nvars} maxdeg={win.maxdeg}"
+        return ok, lambda: f"window nvars={win.nvars} maxdeg={win.maxdeg}"
     if name == "beta-rescale":
-        return beta_rescale_check(_parse("perm", args.element)), ""
+        return beta_rescale_check(_parse("perm", args.element)), lambda: ""
     raise _parse_error(f"unknown identity {name!r}")
 
 
@@ -179,8 +186,9 @@ def cmd_verify(args) -> int:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
         print("PASS" if ok else "FAIL")
-        if not ok and detail:
-            print(detail)
+        text = "" if ok else detail()
+        if text:
+            print(text)
     return 0 if ok else 4
 
 

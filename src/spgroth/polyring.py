@@ -603,6 +603,9 @@ def divided_diff(i: int, f: MultiPoly) -> MultiPoly:
 
 
 def _times_one_plus_beta_x(i: int, f: MultiPoly) -> MultiPoly:
+    """(1 + beta*x_i) * f, in at least i variables."""
+    if i > f.nvars:
+        f = f.embed(i)
     lay = _layout(f.nvars)
     inc = (1 << lay.shift[i - 1]) + (1 << lay.top) + 1
     out = dict(f.terms)
@@ -696,48 +699,6 @@ def truncate(f: MultiPoly, max_degree: int) -> MultiPoly:
         raise ValueError("truncate requires a polynomial, not a Laurent polynomial")
     limit = (max_degree + 1) << _layout(f.nvars).top
     return MultiPoly._raw(f.nvars, {k: c for k, c in f.terms.items() if k < limit})
-
-
-def set_beta(f: MultiPoly, value: BetaInt | int) -> MultiPoly:
-    """Substitute a value for beta (an integer or an element of Z[beta])."""
-    v = BetaInt.of(value)
-    out: dict[int, int] = {}
-    powers: dict[int, BetaInt] = {0: BetaInt.of(1)}
-    for key, c in f.terms.items():
-        bp = key & _FIELD
-        if bp not in powers:
-            # v^bp has degree bp * deg(v): Z has no zero divisors
-            if bp * (len(v.coeffs) - 1) > BETA_MAX:
-                raise ExponentRangeError(f"beta power {bp * (len(v.coeffs) - 1)}")
-            powers[bp] = v ** bp
-        base = key - bp
-        for k, ck in enumerate(powers[bp].coeffs):
-            if not ck:
-                continue
-            s = out.get(base + k, 0) + c * ck
-            if s:
-                out[base + k] = s
-            else:
-                del out[base + k]
-    return MultiPoly._raw(f.nvars, out)
-
-
-def scale_x_by_neg_beta(f: MultiPoly) -> MultiPoly:
-    """Substitute x_i -> -beta * x_i for every variable."""
-    if f.has_negative_exponents():
-        raise ValueError("substitution requires a polynomial")
-    top = _layout(f.nvars).top
-    out: dict[int, int] = {}
-    for key, c in f.terms.items():
-        d = key >> top
-        if (key & _FIELD) + d > BETA_MAX:
-            raise ExponentRangeError(f"beta power {(key & _FIELD) + d}")
-        s = out.get(key + d, 0) + c * (-1) ** d
-        if s:
-            out[key + d] = s
-        else:
-            del out[key + d]
-    return MultiPoly._raw(f.nvars, out)
 
 
 def symmetrize_check(f: MultiPoly, nvars: int, max_degree: int) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .coxeter import (
     FpfInvolution,
@@ -199,17 +199,6 @@ def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     return _apply_pi_truncated(_quotient_word(cuts), MultiPoly.monomial(exps), win.maxdeg)
 
 
-@cache
-def _stable_groth_perm_cached(oneline: tuple[int, ...], nvars: int, maxdeg: int) -> MultiPoly:
-    w = Permutation(oneline)
-    n = max(nvars, w.support)
-    # the polynomial of w is symmetric in x_j, x_{j+1} at every ascent j, so
-    # the blocks of w0_J are the runs between descents
-    word = _quotient_word((0, *w.descents(), n))
-    f = _apply_pi_truncated(word, grothendieck(w).embed(n), maxdeg)
-    return f.restrict(nvars)
-
-
 def stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     """Stable limit of the permutation family at the window: the isobaric
     long-word image pi_{w0} of the polynomial, computed in n = max(nvars,
@@ -217,7 +206,10 @@ def stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     u = w0 * w0_J of the long word is applied, J the ascents of w in
     1..n-1: the polynomial is symmetric at each ascent, where the isobaric
     operator acts as the identity.  Exact at the window."""
-    return _stable_groth_perm_cached(w.oneline, win.nvars, win.maxdeg)
+    n = max(win.nvars, w.support)
+    word = _quotient_word((0, *w.descents(), n))
+    f = _apply_pi_truncated(word, grothendieck(w).embed(n), win.maxdeg)
+    return f.restrict(win.nvars)
 
 
 @lru_cache(maxsize=256)

@@ -401,6 +401,19 @@ def ref_scale_x_by_neg_beta(a: dict) -> dict:
     return out
 
 
+def oracle_beta_zero(f: MultiPoly) -> MultiPoly:
+    """f at beta = 0, by substitution."""
+    return MultiPoly(f.nvars, ref_set_beta(ref_terms(f), 0))
+
+
+def oracle_beta_rescale(f: MultiPoly, ell: int) -> bool:
+    """The rescale equation (-beta)^ell * f = f(beta = -1)(x -> -beta*x),
+    built by substitution."""
+    a = ref_terms(f)
+    lhs = ref_mul(a, {(ell, (0,) * f.nvars): (-1) ** ell})
+    return lhs == ref_scale_x_by_neg_beta(ref_set_beta(a, -1))
+
+
 def random_beta_poly(rng, nvars=3, max_deg=3, max_beta=2, terms=5,
                      laurent=False) -> MultiPoly:
     f = MultiPoly.zero(nvars)

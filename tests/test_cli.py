@@ -131,6 +131,18 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["result"] == "PASS"
 
+    def test_pass_serializes_nothing(self, capsys, monkeypatch):
+        calls = []
+        text = MultiPoly.canonical_text
+        monkeypatch.setattr(MultiPoly, "canonical_text",
+                            lambda f: calls.append(f) or text(f))
+        for command in (("lenart-transition", "13452", "--k", "3"),
+                        ("sp-transition", "351624", "--j", "1", "--k", "3"),
+                        ("sp-recurrence", "4321"),
+                        ("f-grass", "3412", "--nvars", "3", "--maxdeg", "4")):
+            assert run(capsys, "verify", *command) == (0, "PASS\n", ""), command
+        assert calls == []
+
     def test_failure_exit_4(self, capsys, monkeypatch):
         # no true identity fails, so a check with unequal sides stands in
         def unequal(v, j, k):

@@ -11,6 +11,7 @@ from spgroth.coxeter import (
 )
 from spgroth.grothendieck import (
     ExpansionDegreeError,
+    _is_beta_homogeneous,
     beta_rescale_check,
     beta_divided_diff,
     expand_in_grothendieck_basis,
@@ -25,7 +26,7 @@ from spgroth.grothendieck import (
     verify_lenart_transition,
     verify_sp_transition,
 )
-from spgroth.polyring import BetaInt, MultiPoly, set_beta
+from spgroth.polyring import BetaInt, MultiPoly
 
 from helpers import (
     LENART_13452_SIGNED,
@@ -33,6 +34,8 @@ from helpers import (
     SP4_TABLE,
     SP_351624_TERMS,
     ascent_chain_to_top,
+    oracle_beta_rescale,
+    oracle_beta_zero,
     oracle_grothendieck,
     oracle_sp_grothendieck,
     poly_from_beta_terms,
@@ -92,7 +95,10 @@ class TestSchubert:
             s = schubert(w)
             assert s.is_homogeneous()
             assert s.min_degree() == perm_length(w)
-            assert grothendieck(w).bottom() == s
+
+    def test_equals_beta_zero_part(self):
+        for w in all_permutations(6):
+            assert schubert(w) == oracle_beta_zero(grothendieck(w)), w
 
     def test_lex_least_monomial_is_the_code(self):
         # the triangularity that the expansion pivot relies on
@@ -142,7 +148,7 @@ class TestSpGrothendieck:
 
     def test_bottom_is_homogeneous_of_fpf_length(self):
         for z in all_fpf_involutions(6):
-            bottom = set_beta(sp_grothendieck(z), 0)
+            bottom = oracle_beta_zero(sp_grothendieck(z))
             assert bottom.is_homogeneous()
             assert bottom.min_degree() == fpf_length(z)
 
@@ -323,3 +329,25 @@ class TestBetaRescale:
     def test_small_sweep(self):
         for w in all_permutations(3):
             assert beta_rescale_check(w)
+
+    def test_agrees_with_the_rescale_equation(self):
+        for w in all_permutations(6):
+            assert beta_rescale_check(w) == oracle_beta_rescale(grothendieck(w), perm_length(w))
+
+    def test_homogeneity_is_the_rescale_equation(self, rng):
+        verdicts = set()
+        for _ in range(400):
+            n, ell = rng.randint(1, 3), rng.randint(0, 4)
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                exps = tuple(rng.randint(0, 3) for _ in range(n))
+                # half the terms are drawn of the weight ell when they can be
+                bp = sum(exps) - ell
+                if bp < 0 or rng.random() < 0.5:
+                    bp = rng.randint(0, 3)
+                terms[(bp, exps)] = rng.randint(-2, 2)
+            f = MultiPoly(n, terms)
+            verdict = _is_beta_homogeneous(f, ell)
+            assert verdict == oracle_beta_rescale(f, ell), (terms, ell)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

@@ -13,6 +13,7 @@ from spgroth.coxeter import (
 from spgroth.grothendieck import sp_grothendieck
 from spgroth.polyring import (
     _CHUNK,
+    _times_one_plus_beta_x,
     BETA_MAX,
     EXP_MAX,
     EXP_MIN,
@@ -25,13 +26,12 @@ from spgroth.polyring import (
     divided_diff,
     isobaric,
     oplus,
-    scale_x_by_neg_beta,
-    set_beta,
     symmetrize_check,
     truncate,
 )
 
 from helpers import (
+    _ref_times,
     oracle_canonical_text,
     oracle_json_obj,
     oracle_json_text,
@@ -45,8 +45,6 @@ from helpers import (
     ref_isobaric,
     ref_mul,
     ref_restrict,
-    ref_scale_x_by_neg_beta,
-    ref_set_beta,
     ref_terms,
     ref_truncate,
     symmetrize_block,
@@ -334,18 +332,6 @@ class TestTruncateAndSetBeta:
         with pytest.raises(ValueError):
             truncate(X(1, 2, power=-1), 3)
 
-    def test_set_beta(self):
-        g = oplus(X(1, 2), X(2, 2))
-        assert set_beta(g, 0) == X(1, 2) + X(2, 2)
-        assert set_beta(g, BETA) == g
-        assert set_beta(g, -1) == X(1, 2) + X(2, 2) - X(1, 2) * X(2, 2)
-
-    def test_scale_x_by_neg_beta(self):
-        f = X(1, 2) + 2 * X(1, 2) * X(2, 2)
-        got = scale_x_by_neg_beta(f)
-        beta = MultiPoly.beta(2)
-        assert got == -beta * X(1, 2) + 2 * beta * beta * X(1, 2) * X(2, 2)
-
 
 class TestPackedKernelAgainstReference:
     """The packed kernel against the tuple-keyed operators in helpers, on
@@ -439,18 +425,16 @@ class TestPackedKernelAgainstReference:
                     coeffs[bp] += c
             assert f.coefficient(exps) == BetaInt(tuple(coeffs))
 
-    @given(sized_terms())
-    def test_substitutions(self, sized):
+    @given(sized_terms(), stgs.integers(1, 6))
+    def test_times_one_plus_beta_x(self, sized, i):
+        # i may exceed nvars: the product embeds f into x_1..x_i first
         n, terms = sized
         f = MultiPoly(n, terms)
-        a = ref_terms(f)
-        for value in (0, 1, -1, 2, BETA, BETA + 1):
-            assert ref_terms(set_beta(f, value)) == ref_set_beta(a, value)
-        if f.has_negative_exponents():
-            with pytest.raises(ValueError):
-                scale_x_by_neg_beta(f)
-        else:
-            assert ref_terms(scale_x_by_neg_beta(f)) == ref_scale_x_by_neg_beta(a)
+        m = max(i, n)
+        a = ref_embed(ref_terms(f), m)
+        got = _times_one_plus_beta_x(i, f)
+        assert got.nvars == m
+        assert ref_terms(got) == ref_add(a, _ref_times(i, a, 1))
 
 
 class TestPackedRange:
@@ -523,13 +507,7 @@ class TestPackedRange:
             beta_divided_diff(1, x(2, 2, EXP_MAX))  # multiplies by 1 + beta x_2
         with pytest.raises(ExponentRangeError):
             beta_divided_diff(1, MultiPoly(2, {(BETA_MAX, (0, 1)): 1}))
-        with pytest.raises(ExponentRangeError):
-            scale_x_by_neg_beta(MultiPoly(2, {(BETA_MAX, (1, 0)): 1}))
-        with pytest.raises(ExponentRangeError):
-            set_beta(MultiPoly(1, {(BETA_MAX, (0,)): 1}), BETA * BETA)
         # at the edge itself they still work
-        assert scale_x_by_neg_beta(MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1})) == \
-            MultiPoly(2, {(BETA_MAX, (1, 0)): -1})
         assert divided_diff(1, x(1, 2, EXP_MAX)).total_degree() == EXP_MAX - 1
         assert isobaric(2, x(1, 3, EXP_MAX)) == x(1, 3, EXP_MAX)
         assert isobaric(1, MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1})) == \
