@@ -20,6 +20,7 @@ from functools import cache
 from .coxeter import (
     FpfInvolution,
     Permutation,
+    bruhat_cover_up,
     fpf_transition_indices,
     perm_length,
     permutation_from_code,
@@ -31,6 +32,7 @@ from .coxeter import (
 from .polyring import (
     BetaInt,
     MultiPoly,
+    _add_multiple,
     _times_one_plus_beta_x,
     apply_word,
     beta_divided_diff,
@@ -181,7 +183,7 @@ def _extract_schubert_level(bottom: MultiPoly) -> dict[Permutation, BetaInt]:
     divided difference word and evaluating at x = 0.
     """
     found: dict[Permutation, BetaInt] = {}
-    work = bottom
+    work = MultiPoly._raw(bottom.nvars, dict(bottom.terms))  # reduced in place
     guard = 0
     while work:
         guard += 1
@@ -195,7 +197,10 @@ def _extract_schubert_level(bottom: MultiPoly) -> dict[Permutation, BetaInt]:
         if c != work.coefficient(exps):
             raise RuntimeError(f"pivot extraction mismatch at {w!r}")
         found[w] = c
-        work = work - schubert(w) * c
+        s = schubert(w)
+        if s.nvars > work.nvars:
+            work = work.embed(s.nvars)
+        _add_multiple(work.terms, work.nvars, s, -c)
     return found
 
 
@@ -205,7 +210,7 @@ def _expand_groth(f: MultiPoly, max_deg: int, censor: bool):
     involves indices of greater length); otherwise the bound is an error."""
     if f.has_negative_exponents():
         raise ValueError("expansion requires a polynomial")
-    rem = f
+    rem = MultiPoly._raw(f.nvars, dict(f.terms))  # reduced in place
     found: dict[Permutation, BetaInt] = {}
     while rem:
         d = rem.min_degree()
@@ -219,7 +224,9 @@ def _expand_groth(f: MultiPoly, max_deg: int, censor: bool):
                 continue
             found[w] = found.get(w, BetaInt()) + c
             g = grothendieck(w)
-            rem = rem - g.embed(max(rem.nvars, g.nvars)) * c
+            if g.nvars > rem.nvars:
+                rem = rem.embed(g.nvars)
+            _add_multiple(rem.terms, rem.nvars, g, -c)
     return _sorted_terms(found)
 
 
@@ -264,11 +271,15 @@ def _transposition_products(element, fixed: int, indices, conj) -> dict:
 
 
 def _combination(basis, terms: dict, nvars: int) -> MultiPoly:
-    """Sum of basis(index) * coefficient over the {index: coefficient} dict."""
-    f = MultiPoly.zero(nvars)
-    for index, c in terms.items():
-        f = f + basis(index) * c
-    return f
+    """Sum of basis(index) * coefficient over the {index: coefficient} dict
+    of Z[beta] coefficients, accumulated in one dict.  The sum lives in
+    the largest of nvars and the basis elements' variable counts."""
+    parts = [(basis(index), c) for index, c in terms.items()]
+    n = max([nvars] + [g.nvars for g, _ in parts])
+    out: dict[int, int] = {}
+    for g, c in parts:
+        _add_multiple(out, n, g, c)
+    return MultiPoly._raw(n, out)
 
 
 def lenart_signed_terms(v: Permutation, k: int) -> tuple[tuple[Permutation, int, int], ...]:
@@ -277,23 +288,24 @@ def lenart_signed_terms(v: Permutation, k: int) -> tuple[tuple[Permutation, int,
     transpositions below k (descending targets contribute the sign) followed
     by chains above k."""
     out: list[tuple[Permutation, int, int]] = []
+    # every step is a Bruhat cover, which raises the length by one, so a
+    # term's beta power is its number of steps; below k that is p
 
     def down_phase(u: Permutation, last_a: int, p: int):
-        out.append((u, (-1) ** p, perm_length(u) - perm_length(v)))
-        up_phase(u, None, p)
+        out.append((u, (-1) ** p, p))
+        up_phase(u, None, p, p)
         for a in range(last_a - 1, 0, -1):
-            t = u.times_transposition(a, k)
-            if perm_length(t) == perm_length(u) + 1:
-                down_phase(t, a, p + 1)
+            if bruhat_cover_up(u, a, k):
+                down_phase(u.times_transposition(a, k), a, p + 1)
 
-    def up_phase(u: Permutation, last_b: int | None, p: int):
+    def up_phase(u: Permutation, last_b: int | None, p: int, power: int):
         bound = max(u.support, k) + 1
         top = bound if last_b is None else last_b - 1
         for b in range(top, k, -1):
-            t = u.times_transposition(k, b)
-            if perm_length(t) == perm_length(u) + 1:
-                out.append((t, (-1) ** p, perm_length(t) - perm_length(v)))
-                up_phase(t, b, p)
+            if bruhat_cover_up(u, k, b):
+                t = u.times_transposition(k, b)
+                out.append((t, (-1) ** p, power + 1))
+                up_phase(t, b, p, power + 1)
 
     down_phase(v, k, 0)
     return tuple(out)
@@ -310,11 +322,12 @@ def verify_lenart_transition(v: Permutation, k: int) -> TransitionCheck:
     rhs = _combination(grothendieck, _transposition_products(v, k, L, times), 1)
     lhs = _times_one_plus_beta_x(k, left)
 
-    signed = MultiPoly.zero()
+    signed: dict[Permutation, BetaInt] = {}
     for w, sign, power in lenart_signed_terms(v, k):
-        signed = signed + grothendieck(w) * (BetaInt.beta() ** power) * sign
+        signed[w] = signed.get(w, BetaInt()) + BetaInt((0,) * power + (sign,))
     direct = _times_one_plus_beta_x(k, grothendieck(v))
-    return TransitionCheck(lhs, rhs, lhs == rhs, signed_equal=(signed == direct))
+    return TransitionCheck(lhs, rhs, lhs == rhs,
+                           signed_equal=(_combination(grothendieck, signed, 1) == direct))
 
 
 def verify_sp_transition(v: FpfInvolution, j: int, k: int) -> TransitionCheck:

@@ -12,7 +12,9 @@ negative exponents are allowed and the ring is Laurent.  The layout gives:
 * the key of a product of two monomials is the sum of their keys minus the
   key of 1, and the simple swap, the divided differences and the products
   with x_i and 1 + beta*x_i add multiples of field units to a key;
-* truncation by total degree is one integer compare per term.
+* truncation by total degree is one integer compare per term, and an
+  isobaric step clipped at a degree bound (isobaric(i, f, max_degree))
+  is one compare per pair, made before the pair's beta run is written.
 
 Every exponent lies in EXP_MIN..EXP_MAX (-16384..16383) and every beta
 power in 0..BETA_MAX (0..32767).  The top bit of each field is a guard bit
@@ -621,6 +623,35 @@ def _times_one_plus_beta_x(i: int, f: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.nvars, out)
 
 
+def _add_multiple(terms: dict[int, int], nvars: int, g: MultiPoly, c: BetaInt) -> None:
+    """terms += c * g in place, where terms holds the keys of a polynomial
+    in nvars >= g.nvars variables and c is a polynomial in beta.
+
+    Each power beta^p of c adds p to the beta field of g's keys, so the sum
+    is one pass over g per nonzero coefficient of c, written into terms with
+    cancelled keys removed.  The range is checked before anything is
+    written: ExponentRangeError if a beta power would pass BETA_MAX."""
+    if not c:
+        return
+    top = len(c.coeffs) - 1
+    if top > BETA_MAX:
+        raise ExponentRangeError(f"beta power {top}")
+    gterms = g.embed(nvars).terms
+    # only the beta field moves, and the top power moves it furthest
+    _layout(nvars).check(map(top.__add__, gterms))
+    get = terms.get
+    for p, a in enumerate(c.coeffs):
+        if not a:
+            continue
+        for k, b in gterms.items():
+            key = k + p
+            s = get(key, 0) + a * b
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+
+
 def beta_divided_diff(i: int, f: MultiPoly) -> MultiPoly:
     """The beta-deformed divided difference applied to f: the plain divided
     difference of (1 + beta*x_{i+1}) * f."""
@@ -628,7 +659,7 @@ def beta_divided_diff(i: int, f: MultiPoly) -> MultiPoly:
     return divided_diff(i, _times_one_plus_beta_x(i + 1, f))
 
 
-def isobaric(i: int, f: MultiPoly) -> MultiPoly:
+def isobaric(i: int, f: MultiPoly, max_degree: int | None = None) -> MultiPoly:
     """The isobaric operator: beta divided difference applied to x_i * f.
 
     One pass over f, a pair {m, s_i m} at a time.  Write m = x_i^a
@@ -638,18 +669,32 @@ def isobaric(i: int, f: MultiPoly) -> MultiPoly:
         c * (m + s_i m) + (c - c') * (interior + beta * x_{i+1} * run),
 
     where run is the d terms m (x_{i+1}/x_i)^t for 0 <= t < d, and interior
-    is run without m; a term with a = b maps to itself.  So the runs of a
-    pair with equal coefficients are never written.  The range rule is that of
-    x_i * f followed by (1 + beta*x_{i+1}) * (x_i * f): ExponentRangeError
-    if any term has e_i or e_{i+1} at EXP_MAX or its beta power at
-    BETA_MAX, even where the runs cancel."""
+    is run without m; a term with a = b maps to itself.  So the pass starts
+    from a copy of f, and a pair with equal coefficients writes nothing.
+
+    The range rule is that of x_i * f followed by (1 + beta*x_{i+1}) *
+    (x_i * f): ExponentRangeError if any term has e_i or e_{i+1} at EXP_MAX
+    or its beta power at BETA_MAX, even where the runs cancel or are
+    clipped.
+
+    With max_degree, f must have no term of total degree above it (else
+    ValueError), and the result is truncate(isobaric(i, f), max_degree).
+    Only the beta run raises the degree, by exactly one, so the clip is one
+    compare per pair: a beta run above max_degree is never written."""
     lo, step, _ = _swap_step(i, f)
     lay = _layout(f.nvars)
     terms = f.terms
     # add one to the x_i, x_{i+1} and beta fields: a guard bit marks an edge
     lay.check(map(((1 << lo) + (1 << (lo + FIELD_BITS)) + 1).__add__, terms))
     up = (1 << lo) + (1 << lay.top) + 1  # the key change of beta * x_{i+1}
-    out: dict[int, int] = {}
+    if max_degree is None:
+        # above every key: exponents are at most EXP_MAX, and a run adds one
+        limit = (lay.nvars * EXP_MAX + 2) << lay.top
+    else:
+        limit = (max_degree + 1) << lay.top
+        if terms and max(terms) >= limit:
+            raise ValueError(f"isobaric input has terms above max_degree={max_degree}")
+    out = dict(terms)
     get = out.get
     partner_of = terms.get
     for k, c in terms.items():
@@ -657,30 +702,34 @@ def isobaric(i: int, f: MultiPoly) -> MultiPoly:
         d = ((pair >> FIELD_BITS) & _FIELD) - (pair & _FIELD)  # e_i - e_{i+1}
         if d > 0:
             partner = k + d * step
-            out[k] = get(k, 0) + c
-            out[partner] = get(partner, 0) + c
             delta = c - partner_of(partner, 0)
             if not delta:
                 continue
+            out[partner] = get(partner, 0) + delta  # s_i m takes c
         elif d < 0:
-            k += d * step
-            if k in terms:
+            above = k + d * step
+            if above in terms:
                 continue  # visited from its partner
-            delta, d = -c, -d
+            out[k] = get(k, 0) - c  # its partner is absent (c = 0), so it goes
+            k, delta, d = above, -c, -d
         else:
-            out[k] = get(k, 0) + c
             continue
         if d == 1:  # the commonest: no interior, one beta term
             k += up
-            out[k] = get(k, 0) + delta
+            if k < limit:
+                out[k] = get(k, 0) + delta
             continue
         end = k + d * step
         for key in range(k + step, end, step):
             out[key] = get(key, 0) + delta
-        for key in range(k + up, end + up, step):
-            out[key] = get(key, 0) + delta
-    # cancelled terms are dropped once, after the sums
-    return MultiPoly._raw(f.nvars, {k: c for k, c in out.items() if c})
+        if k + up < limit:
+            for key in range(k + up, end + up, step):
+                out[key] = get(key, 0) + delta
+    # cancelled terms are dropped once, after the sums, and only when there
+    # are any
+    if not all(out.values()):
+        out = {k: c for k, c in out.items() if c}
+    return MultiPoly._raw(f.nvars, out)
 
 
 def apply_word(op: Callable[[int, MultiPoly], MultiPoly], word: Iterable[int],

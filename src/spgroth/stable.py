@@ -177,11 +177,12 @@ def _quotient_word(cuts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _apply_pi_truncated(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> MultiPoly:
-    # isobaric steps never move high degrees downward, so clipping after
-    # every step is exact for the final truncation
+    # isobaric steps never move high degrees downward, so clipping every
+    # step as it writes is exact for the final truncation; the first
+    # truncate clips the input and rejects Laurent input
     f = truncate(f, maxdeg)
     for i in reversed(word):
-        f = truncate(isobaric(i, f), maxdeg)
+        f = isobaric(i, f, maxdeg)
     return f
 
 

@@ -18,13 +18,22 @@ from spgroth.coxeter import (
     as_strict_partition,
     fpf_cover_up,
     is_fpf_grassmannian,
+    perm_length,
     reduced_word,
     sp_shape,
     theta,
 )
 from spgroth.grothendieck import grothendieck, sp_grothendieck
-from spgroth.polyring import BetaInt, MultiPoly, apply_word, beta_divided_diff, isobaric, oplus
-from spgroth.stable import Window, _apply_pi_truncated, _fillings
+from spgroth.polyring import (
+    BetaInt,
+    MultiPoly,
+    apply_word,
+    beta_divided_diff,
+    isobaric,
+    oplus,
+    truncate,
+)
+from spgroth.stable import Window, _fillings
 
 
 def oracle_inversions(word) -> int:
@@ -120,12 +129,21 @@ def _long_word(n: int) -> tuple[int, ...]:
     return reduced_word(Permutation.longest(n))
 
 
+def _truncate_each_step(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> MultiPoly:
+    """The isobaric word applied to f (rightmost index first), with a
+    separate truncate after every unclipped isobaric step."""
+    f = truncate(f, maxdeg)
+    for i in reversed(word):
+        f = truncate(isobaric(i, f), maxdeg)
+    return f
+
+
 def long_word_stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     """The stable limit of the permutation family through the whole long
-    word of max(nvars, support), clipped after every isobaric step, then
+    word of max(nvars, support), truncated after every isobaric step, then
     restricted to the window's variables."""
     n = max(win.nvars, w.support)
-    f = _apply_pi_truncated(_long_word(n), grothendieck(w).embed(n), win.maxdeg)
+    f = _truncate_each_step(_long_word(n), grothendieck(w).embed(n), win.maxdeg)
     return f.restrict(win.nvars)
 
 
@@ -146,11 +164,11 @@ def gp_sp_stabilized(z: FpfInvolution, win: Window) -> MultiPoly:
     max_extra = 8
     values = []
     for extra in range(max_extra + 1):
-        f = _apply_pi_truncated(_long_word(n + extra), sp_grothendieck(z).embed(n + extra),
+        f = _truncate_each_step(_long_word(n + extra), sp_grothendieck(z).embed(n + extra),
                                 win.maxdeg)
         values.append(win.clip(f))
         if len(values) >= 2 and values[-1] == values[-2]:
-            g = _apply_pi_truncated(_long_word(n + extra + 1),
+            g = _truncate_each_step(_long_word(n + extra + 1),
                                     sp_grothendieck(z).embed(n + extra + 1), win.maxdeg)
             if win.clip(g) != values[-1]:
                 raise RuntimeError("window agreement was not stable")
@@ -498,6 +516,32 @@ LENART_13452_SIGNED = {
     ((3, 4, 2, 5, 1), 1, 3),
     ((3, 4, 5, 2, 1), 1, 4),
 }
+
+
+def oracle_lenart_signed_terms(v: Permutation, k: int) -> tuple:
+    """The signed one-variable expansion by the same chains as the library,
+    each step tested by comparing lengths: (w, sign, length(w) -
+    length(v)), in the library's order."""
+    out = []
+
+    def down_phase(u: Permutation, last_a: int, p: int):
+        out.append((u, (-1) ** p, perm_length(u) - perm_length(v)))
+        up_phase(u, None, p)
+        for a in range(last_a - 1, 0, -1):
+            t = u.times_transposition(a, k)
+            if perm_length(t) == perm_length(u) + 1:
+                down_phase(t, a, p + 1)
+
+    def up_phase(u: Permutation, last_b: int | None, p: int):
+        top = max(u.support, k) + 1 if last_b is None else last_b - 1
+        for b in range(top, k, -1):
+            t = u.times_transposition(k, b)
+            if perm_length(t) == perm_length(u) + 1:
+                out.append((t, (-1) ** p, perm_length(t) - perm_length(v)))
+                up_phase(t, b, p)
+
+    down_phase(v, k, 0)
+    return tuple(out)
 
 
 def oracle_tableaux(cells, pools, max_weight: int, row_ok, col_ok) -> list[tuple]:

@@ -11,6 +11,7 @@ from spgroth.coxeter import (
 )
 from spgroth.grothendieck import (
     ExpansionDegreeError,
+    _combination,
     _is_beta_homogeneous,
     beta_rescale_check,
     beta_divided_diff,
@@ -26,7 +27,7 @@ from spgroth.grothendieck import (
     verify_lenart_transition,
     verify_sp_transition,
 )
-from spgroth.polyring import BetaInt, MultiPoly
+from spgroth.polyring import BETA_MAX, BetaInt, ExponentRangeError, MultiPoly
 
 from helpers import (
     LENART_13452_SIGNED,
@@ -34,6 +35,7 @@ from helpers import (
     SP4_TABLE,
     SP_351624_TERMS,
     ascent_chain_to_top,
+    oracle_lenart_signed_terms,
     oracle_beta_rescale,
     oracle_beta_zero,
     oracle_grothendieck,
@@ -215,6 +217,13 @@ class TestLenartTransition:
                 chk = verify_lenart_transition(v, k)
                 assert chk.equal and chk.signed_equal, (v, k)
 
+    def test_signed_terms_against_length_oracle(self):
+        # the same tuple, order included, for every k up to one past the rank
+        for n in range(1, 6):
+            for v in all_permutations(n):
+                for k in range(1, n + 2):
+                    assert lenart_signed_terms(v, k) == oracle_lenart_signed_terms(v, k), (v, k)
+
     def test_index_below_one_rejected(self):
         for k in (0, -1):
             with pytest.raises(ValueError, match=f"need k >= 1, got {k}"):
@@ -273,6 +282,13 @@ class TestExpansion:
         assert e.as_dict() == {parse_permutation("21"): BetaInt.of(1)}
         e = expand_in_grothendieck_basis(sp_grothendieck(parse_fpf("3412")), 4)
         assert e.as_dict() == {parse_permutation("132"): BetaInt.of(1)}
+        # pivots in three variables (312, 132, 231) for inputs in fewer
+        e = expand_in_grothendieck_basis(X(1, 1, power=2), 4)
+        assert e.as_dict() == {parse_permutation("312"): BetaInt.of(1)}
+        e = expand_in_grothendieck_basis(X(2, 2), 4)
+        assert e.as_dict() == {parse_permutation("132"): BetaInt.of(1),
+                               parse_permutation("21"): BetaInt.of(-1),
+                               parse_permutation("231"): -BetaInt.beta()}
 
     def test_basis_round_trip(self):
         for w in all_permutations(4):
@@ -319,6 +335,51 @@ class TestExpansion:
     def test_laurent_input_rejected(self):
         with pytest.raises(ValueError):
             expand_in_grothendieck_basis(X(1, 1, power=-1), 4)
+
+
+class TestCombination:
+    """The one-dict sum of basis elements times Z[beta] coefficients against
+    the generic sum of products."""
+
+    @staticmethod
+    def generic(basis, terms: dict, nvars: int) -> MultiPoly:
+        f = MultiPoly.zero(nvars)
+        for index, c in terms.items():
+            f = f + basis(index) * c
+        return f
+
+    def check(self, basis, terms: dict, nvars: int) -> MultiPoly:
+        got = _combination(basis, terms, nvars)
+        want = self.generic(basis, terms, nvars)
+        assert got.nvars == want.nvars
+        assert got.terms == want.terms
+        return got
+
+    def test_against_generic_sum(self, rng):
+        words = list(all_permutations(4))
+        for _ in range(10):
+            # zero middle coefficients and zero coefficients among them
+            terms = {w: BetaInt(tuple(rng.randint(-1, 1) for _ in range(3)))
+                     for w in rng.sample(words, 6)}
+            self.check(grothendieck, terms, 1)
+        terms = {parse_permutation("21"): BetaInt((2, 0, -1)),
+                 parse_permutation("1342"): BetaInt.of(0)}
+        # basis elements in 2 and 4 variables; the zero coefficient still widens
+        assert self.check(grothendieck, terms, 1).nvars == 4
+
+    def test_full_cancellation(self):
+        w, u = parse_permutation("231"), parse_permutation("312")
+        basis = {w: grothendieck(w), u: grothendieck(w).embed(5)}.get
+        c = BetaInt((1, 0, 2))
+        got = self.check(basis, {w: c, u: -c}, 2)
+        assert not got and got.nvars == 5
+
+    def test_beta_power_overflow(self):
+        top = MultiPoly(2, {(BETA_MAX, (1, 0)): 1})
+        with pytest.raises(ExponentRangeError):
+            _combination({0: top}.get, {0: BetaInt.beta()}, 1)
+        with pytest.raises(ExponentRangeError):
+            self.generic({0: top}.get, {0: BetaInt.beta()}, 1)
 
 
 class TestBetaRescale:

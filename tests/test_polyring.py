@@ -13,6 +13,7 @@ from spgroth.coxeter import (
 from spgroth.grothendieck import sp_grothendieck
 from spgroth.polyring import (
     _CHUNK,
+    _add_multiple,
     _times_one_plus_beta_x,
     BETA_MAX,
     EXP_MAX,
@@ -235,6 +236,11 @@ class TestIsobaric:
         want = (X(1, 2) ** 2 + X(1, 2) * X(2, 2) + X(2, 2) ** 2
                 + MultiPoly.beta(2) * X(1, 2) * X(2, 2) * (X(1, 2) + X(2, 2)))
         assert isobaric(1, X(1, 2) ** 2) == want
+        # clipped at a degree bound: the beta run of degree 2 is not written
+        assert isobaric(1, X(1, 2), max_degree=1) == X(1, 2) + X(2, 2)
+        assert isobaric(1, X(2, 2), max_degree=1) == MultiPoly.zero(2)
+        with pytest.raises(ValueError, match="above max_degree=1"):
+            isobaric(1, X(1, 2) ** 2, max_degree=1)
 
     def test_alternate_form(self):
         f = random_beta_poly(__import__("random").Random(11), nvars=3)
@@ -401,6 +407,62 @@ class TestPackedKernelAgainstReference:
             assert ref_terms(beta_divided_diff(i, f)) == ref_beta_divided_diff(i, a)
             assert ref_terms(isobaric(i, f)) == ref_isobaric(i, a)
 
+    def test_isobaric_clipped(self, rng):
+        # every bound from below the input to above it, so some inputs have
+        # terms at exactly the bound, whose beta runs are the ones clipped
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            f = random_beta_poly(rng, nvars=n, max_deg=4, max_beta=3, terms=8)
+            for d in range(-1, f.total_degree() + 2):
+                g = truncate(f, d)
+                a = ref_terms(g)
+                for i in range(1, n):
+                    got = isobaric(i, g, max_degree=d)
+                    assert got.nvars == n
+                    assert ref_terms(got) == ref_truncate(ref_isobaric(i, a), d)
+
+    def test_add_multiple(self, rng):
+        def check(f: MultiPoly, g: MultiPoly, c: BetaInt) -> dict:
+            n = max(f.nvars, g.nvars)
+            terms = dict(f.embed(n).terms)
+            _add_multiple(terms, n, g, c)
+            a, b = ref_embed(ref_terms(f), n), ref_embed(ref_terms(g), n)
+            scale = {(p, (0,) * n): cp for p, cp in enumerate(c.coeffs) if cp}
+            assert ref_terms(MultiPoly._raw(n, terms)) == ref_add(a, ref_mul(b, scale))
+            return terms
+
+        for _ in range(40):
+            # operands of different variable counts, coefficients with zero
+            # middle terms among them
+            f = random_beta_poly(rng, nvars=rng.randint(1, 4))
+            g = random_beta_poly(rng, nvars=rng.randint(1, 4))
+            c = BetaInt(tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3))))
+            check(f, g, c)
+        g = random_beta_poly(rng, nvars=2)
+        c = BetaInt((3, 0, -1))
+        assert c.coeffs[1] == 0
+        check(MultiPoly.one(3), g, c)
+        # full cancellation leaves the empty dict
+        assert check(g * c, g, -c) == {}
+        assert check(g.embed(4) * BETA, g, -BETA) == {}
+
+    def test_add_multiple_range(self):
+        g = MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1, (0, (0, 0)): 2})
+        terms = {}
+        _add_multiple(terms, 2, g, BETA)
+        assert MultiPoly._raw(2, terms) == g * BETA
+        # nothing is written when the range check fails
+        for c in (BETA ** 2, BetaInt((1, 0, 1)), BETA ** (BETA_MAX + 2)):
+            terms = dict(g.terms)
+            with pytest.raises(ExponentRangeError):
+                _add_multiple(terms, 2, g, c)
+            assert terms == g.terms
+        # a power above BETA_MAX raises even on beta power 0, where the
+        # beta field would wrap into x_2 instead of reaching its guard bit
+        for top in (BETA_MAX + 1, 2 * BETA_MAX + 2):
+            with pytest.raises(ExponentRangeError):
+                _add_multiple({}, 2, MultiPoly.one(2), BETA ** top)
+
     @given(sized_terms())
     def test_truncate_and_queries(self, sized):
         n, terms = sized
@@ -503,6 +565,15 @@ class TestPackedRange:
         with pytest.raises(ExponentRangeError):
             # a symmetric pair writes no beta run, and still raises
             isobaric(1, x(1, 2, EXP_MAX) + x(2, 2, EXP_MAX))
+        # clipped at the input's degree, the beta runs are dropped and the
+        # same error is raised
+        for f in (x(1, 2, EXP_MAX), x(2, 2, EXP_MAX), MultiPoly(2, {(BETA_MAX, (0, 0)): 1}),
+                  MultiPoly(2, {(BETA_MAX, (0, 1)): 1})):
+            with pytest.raises(ExponentRangeError) as unclipped:
+                isobaric(1, f)
+            with pytest.raises(ExponentRangeError) as clipped:
+                isobaric(1, f, max_degree=f.total_degree())
+            assert str(clipped.value) == str(unclipped.value)
         with pytest.raises(ExponentRangeError):
             beta_divided_diff(1, x(2, 2, EXP_MAX))  # multiplies by 1 + beta x_2
         with pytest.raises(ExponentRangeError):
@@ -510,6 +581,7 @@ class TestPackedRange:
         # at the edge itself they still work
         assert divided_diff(1, x(1, 2, EXP_MAX)).total_degree() == EXP_MAX - 1
         assert isobaric(2, x(1, 3, EXP_MAX)) == x(1, 3, EXP_MAX)
+        assert isobaric(2, x(1, 3, EXP_MAX), max_degree=EXP_MAX) == x(1, 3, EXP_MAX)
         assert isobaric(1, MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1})) == \
             MultiPoly(2, {(BETA_MAX - 1, (1, 0)): 1, (BETA_MAX - 1, (0, 1)): 1,
                           (BETA_MAX, (1, 1)): 1})
