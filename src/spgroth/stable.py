@@ -4,7 +4,10 @@ Stable limits are isobaric long-word images pi_{w0}, taken over a parabolic
 quotient: the shape series G_lam is pi_{w0} of x^lam, and the stable limit
 of a permutation is pi_{w0} of its polynomial.  Set-valued tableaux remain
 only for the shifted shape series GP_lam; ordinary set-valued tableaux are
-the test oracle for G_lam.
+the test oracle for G_lam.  Both come from one engine, _fillings, which
+shares each cell's list of allowed subsets between the nodes that ask for
+it; GP_lam sums its tableaux as integer keys and decodes only the distinct
+ones.
 
 Symmetric-series identities are always asserted "at a window": in the
 variables x_1..nvars, modulo terms of total degree above maxdeg.  Expansion
@@ -16,7 +19,9 @@ window and is not reported.
 from __future__ import annotations
 
 import itertools
+import struct
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,10 +88,18 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_we
     1' < 1 < 2' < 2 < ...  Along a row min(here) >= max(left), strictly when
     max(left) is primed; down a column min(here) >= max(above), strictly
     unless max(above) is primed.  Yields per cell a sorted tuple, as a dict
-    keyed by cell.
+    keyed by cell.  Each filling comes once, in lexicographic order of its
+    cell sequence, a cell's subsets ordered by size and then
+    lexicographically.
 
     Iterative: a stack of per-cell subset iterators, so deep shapes need no
-    recursion."""
+    recursion.  A cell's allowed subsets depend only on its lower bound and
+    its letter budget (letters left after the cells before it, less one for
+    each cell after it), so the tuple for each (cell, lower bound, budget)
+    is built once and shared by every node that asks for it; the memo is
+    local to the call and freed with the generator.  The last cell is a
+    plain loop over its tuple, with no stack push per filling, and each
+    filling copies a dict of the other cells made once per parent."""
     ncells = len(cells)
     if ncells == 0:
         yield {}
@@ -94,26 +107,36 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_we
     if max_weight < ncells:
         return
     index = {cell: t for t, cell in enumerate(cells)}
-    left = [index.get((i, j - 1)) for i, j in cells]
-    above = [index.get((i - 1, j)) for i, j in cells]
-    chosen: list[tuple[int, ...]] = [()] * ncells
+    # a missing neighbour points past the cells, at a sentinel letter -1,
+    # which is primed and so bounds neither a row nor a column
+    left = [index.get((i, j - 1), ncells) for i, j in cells]
+    above = [index.get((i - 1, j), ncells) for i, j in cells]
+    chosen: list[tuple[int, ...]] = [()] * ncells + [(-1,)]
     used = [0] * ncells  # letters in the cells before each cell
+    memo: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
-    def options(t: int):
-        lo = 0
-        if left[t] is not None:
-            m = chosen[left[t]][-1]
-            lo = m + 1 if m % 2 else m
-        if above[t] is not None:
-            m = chosen[above[t]][-1]
-            lo = max(lo, m if m % 2 else m + 1)
-        pool = pools[t][bisect_left(pools[t], lo):]
-        budget = max_weight - used[t] - (ncells - t - 1)
-        return itertools.chain.from_iterable(
-            itertools.combinations(pool, size) for size in range(1, min(budget, len(pool)) + 1))
+    def options(t: int) -> tuple[tuple[int, ...], ...]:
+        m = chosen[left[t]][-1]
+        lo = m + 1 if m & 1 else m
+        m = chosen[above[t]][-1]
+        if m >= lo:
+            lo = m if m & 1 else m + 1
+        key = (t, lo, max_weight - used[t] - (ncells - t - 1))
+        subsets = memo.get(key)
+        if subsets is None:
+            pool = pools[t][bisect_left(pools[t], lo):]
+            subsets = memo[key] = tuple(itertools.chain.from_iterable(
+                itertools.combinations(pool, size)
+                for size in range(1, min(key[2], len(pool)) + 1)))
+        return subsets
 
     last = ncells - 1
-    stack = [options(0)]
+    last_cell = cells[last]
+    if last == 0:
+        for subset in options(0):
+            yield {last_cell: subset}
+        return
+    stack = [iter(options(0))]
     while stack:
         t = len(stack) - 1
         subset = next(stack[-1], None)
@@ -121,11 +144,17 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_we
             stack.pop()
             continue
         chosen[t] = subset
-        if t == last:
-            yield dict(zip(cells, chosen))
-        else:
-            used[t + 1] = used[t] + len(subset)
-            stack.append(options(t + 1))
+        used[t + 1] = used[t] + len(subset)
+        if t + 1 < last:
+            stack.append(iter(options(t + 1)))
+            continue
+        leaves = options(last)
+        if leaves:
+            prefix = dict(zip(cells, chosen[:last]))
+            for leaf in leaves:
+                tab = prefix.copy()
+                tab[last_cell] = leaf
+                yield tab
 
 
 def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
@@ -141,23 +170,63 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     yield from _fillings(cells, pools, max_weight)
 
 
+class _SubsetCodes(dict):
+    """Integer code of a set of marked letters, made on first use: one digit
+    of `size` bytes per variable, counting the letters 2v - 1 and 2v in the
+    digit of x_v (x_1 lowest), and above them one beta digit counting the
+    letters after the first.  A sum of codes over the cells of a tableau
+    whose x digits stay below 256^size carries between no digits; the beta
+    digit is the top one and has no bound."""
+
+    def __init__(self, nvars: int, size: int):
+        super().__init__()
+        # the digit unit of each letter 1..2 nvars (index 0 unused)
+        self.unit = (0, *(1 << (8 * size * (m // 2)) for m in range(2 * nvars)))
+        self.beta_unit = 1 << (8 * size * nvars)
+
+    def __missing__(self, subset: tuple[int, ...]) -> int:
+        code = self[subset] = (sum(map(self.unit.__getitem__, subset))
+                               + (len(subset) - 1) * self.beta_unit)
+        return code
+
+
+_DIGITS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # digit bytes, struct code
+_CHUNK = 4096  # decoded terms handed to the MultiPoly constructor at once
+
+
 def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """Shifted set-valued tableau generating function for the strict shape,
     truncated at the window: the sum of beta^(letters - |lam|) x^content,
-    where the letters 2v - 1 and 2v count towards x_v."""
+    where the letters 2v - 1 and 2v count towards x_v.  Zero when lam has
+    more parts than nvars, since the diagonal strictly increases.
+
+    Each tableau is counted under one integer key, the sum of its cells'
+    subset codes (see _SubsetCodes), with digits wide enough for the
+    largest exponent a tableau can reach.  Only the distinct keys are
+    decoded, in the order their tableaux first appear, and the MultiPoly
+    constructor packs them, so it raises ExponentRangeError for the first
+    exponent or beta power outside the packed range, as it does for any
+    input."""
     lam = as_strict_partition(lam)
-    weight = sum(lam)
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for tab in shifted_set_valued_tableaux(lam, win.nvars, win.maxdeg):
-        exps = [0] * win.nvars
-        size = 0
-        for subset in tab.values():
-            size += len(subset)
-            for m in subset:
-                exps[(m - 1) // 2] += 1
-        key = (size - weight, tuple(exps))
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(win.nvars, counts)
+    n = win.nvars
+    if len(lam) > n:
+        return MultiPoly.zero(n)
+    # at most maxdeg letters in all, and at most two of one value in a cell
+    most = min(win.maxdeg, 2 * sum(lam))
+    size, code = next((k, c) for k, c in _DIGITS if most < 1 << (8 * k))
+    codes = _SubsetCodes(n, size).__getitem__
+    counts = Counter(sum(map(codes, tab.values()))
+                     for tab in shifted_set_valued_tableaux(lam, n, win.maxdeg))
+    xbits = 8 * size * n
+    x_mask = (1 << xbits) - 1
+    unpack = struct.Struct(f"<{n}{code}").unpack
+    # the beta digit, letters beyond one per cell, is the power of beta
+    decoded = (((key >> xbits, unpack((key & x_mask).to_bytes(size * n, "little"))), c)
+               for key, c in counts.items())
+    terms: dict[int, int] = {}
+    while chunk := dict(itertools.islice(decoded, _CHUNK)):
+        terms.update(MultiPoly(n, chunk).terms)
+    return MultiPoly._raw(n, terms)
 
 
 # ---------------------------------------------------------------------------

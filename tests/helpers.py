@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from functools import cache
 
 from spgroth.coxeter import (
@@ -205,6 +206,80 @@ def oracle_stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPol
             for v in subset:
                 exps[v - 1] += 1
         key = (sum(exps) - sum(lam), tuple(exps))
+        counts[key] = counts.get(key, 0) + 1
+    return MultiPoly(win.nvars, counts)
+
+
+# The tableau engine before its option lists were memoized: a stack of fresh
+# per-cell subset iterators, rebuilt at every node, and the shifted shape
+# series summed over exponent lists.  Oracles for the order of the fillings
+# and for the series.
+
+
+def oracle_fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_weight: int):
+    """The fillings of the library's _fillings, in its order: per cell a
+    sorted tuple, as a dict keyed by cell."""
+    ncells = len(cells)
+    if ncells == 0:
+        yield {}
+        return
+    if max_weight < ncells:
+        return
+    index = {cell: t for t, cell in enumerate(cells)}
+    left = [index.get((i, j - 1)) for i, j in cells]
+    above = [index.get((i - 1, j)) for i, j in cells]
+    chosen: list[tuple[int, ...]] = [()] * ncells
+    used = [0] * ncells  # letters in the cells before each cell
+
+    def options(t: int):
+        lo = 0
+        if left[t] is not None:
+            m = chosen[left[t]][-1]
+            lo = m + 1 if m % 2 else m
+        if above[t] is not None:
+            m = chosen[above[t]][-1]
+            lo = max(lo, m if m % 2 else m + 1)
+        pool = pools[t][bisect_left(pools[t], lo):]
+        budget = max_weight - used[t] - (ncells - t - 1)
+        return itertools.chain.from_iterable(
+            itertools.combinations(pool, size) for size in range(1, min(budget, len(pool)) + 1))
+
+    last = ncells - 1
+    stack = [options(0)]
+    while stack:
+        t = len(stack) - 1
+        subset = next(stack[-1], None)
+        if subset is None:
+            stack.pop()
+            continue
+        chosen[t] = subset
+        if t == last:
+            yield dict(zip(cells, chosen))
+        else:
+            used[t + 1] = used[t] + len(subset)
+            stack.append(options(t + 1))
+
+
+def oracle_gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
+    """The shifted shape series at the window as the sum of beta^(letters -
+    |lam|) x^content over the shifted set-valued tableaux, one exponent list
+    per tableau.  The tableaux come from oracle_fillings, on the cells and
+    pools of the library's shifted_set_valued_tableaux."""
+    lam = as_strict_partition(lam)
+    weight = sum(lam)
+    cells = [(i, i + j - 1) for i in range(1, len(lam) + 1) for j in range(1, lam[i - 1] + 1)]
+    letters = tuple(range(1, 2 * win.nvars + 1))
+    unprimed = letters[1::2]
+    pools = [letters if i != j else unprimed for i, j in cells]
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for tab in oracle_fillings(cells, pools, win.maxdeg):
+        exps = [0] * win.nvars
+        size = 0
+        for subset in tab.values():
+            size += len(subset)
+            for m in subset:
+                exps[(m - 1) // 2] += 1
+        key = (size - weight, tuple(exps))
         counts[key] = counts.get(key, 0) + 1
     return MultiPoly(win.nvars, counts)
 

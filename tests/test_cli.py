@@ -299,9 +299,10 @@ class TestPackedRange:
 
 
 # stdout, stderr and exit code of precondition failures, recorded while the
-# CLI still turned each ValueError into its own error, except the last two:
-# the index check of the permutation transition, and the packed range of the
-# first isobaric step of a one-row shape at the exponent limit
+# CLI still turned each ValueError into its own error, except the last three:
+# the index check of the permutation transition, the packed range of the
+# first isobaric step of a one-row shape at the exponent limit, and the
+# packed range of a shifted one-row shape one past that limit
 PINNED_ERRORS = [
     ("expand groth 4321 --max-expansion-degree 2",
      "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
@@ -313,6 +314,9 @@ PINNED_ERRORS = [
     ("verify lenart-transition 13452 --k 0", "error: need k >= 1, got 0\n"),
     ("compute G 16383 --nvars 2 --maxdeg 16383",
      "error: exponent or beta power outside the packed range "
+     "(exponents -16384..16383, beta powers 0..32767)\n"),
+    ("compute GP 16384 --nvars 1 --maxdeg 16384",
+     "error: exponent 16384 outside the packed range "
      "(exponents -16384..16383, beta powers 0..32767)\n"),
 ]
 

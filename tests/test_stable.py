@@ -14,6 +14,7 @@ from spgroth.coxeter import (
     parse_permutation,
     shift_fpf,
     shift_perm,
+    strict_partitions_of,
 )
 import spgroth.stable as stable
 from spgroth.grothendieck import _transposition_products, grothendieck, sp_grothendieck
@@ -28,6 +29,7 @@ from spgroth.polyring import (
 )
 from spgroth.stable import (
     Window,
+    _fillings,
     _unframe,
     expand_in_G_basis,
     expand_in_GP_basis,
@@ -48,6 +50,8 @@ from helpers import (
     long_word_stable_groth_partition,
     long_word_stable_groth_perm,
     oracle_beta_zero,
+    oracle_fillings,
+    oracle_gp_partition,
     oracle_positive_recurrence,
     oracle_set_valued_tableaux,
     oracle_shifted_cover_list_above,
@@ -192,6 +196,32 @@ class TestTableauEngineAgainstBruteForce:
                     assert got == want, (shape, nvars, max_weight)
 
 
+class TestFillingsAgainstOracle:
+    """The memoized engine yields the fillings of the old stack loop, in the
+    same order, including shapes too small for the weight bound."""
+
+    @staticmethod
+    def _check(cells, pools):
+        for max_weight in range(max(len(cells) - 1, 0), len(cells) + 4):
+            got = list(_fillings(cells, pools, max_weight))
+            assert got == list(oracle_fillings(cells, pools, max_weight)), (cells, max_weight)
+
+    def test_ordinary(self):
+        for size in range(7):
+            for shape in partitions_of(size):
+                cells = _rows(shape)
+                for nvars in (1, 2, 3):
+                    self._check(cells, [tuple(range(2, 2 * nvars + 1, 2))] * len(cells))
+
+    def test_shifted(self):
+        for size in range(7):
+            for shape in strict_partitions_of(size):
+                cells = _shifted_rows(shape)
+                for nvars in (1, 2, 3):
+                    self._check(cells, [tuple(m for m in range(1, 2 * nvars + 1)
+                                              if i != j or m % 2 == 0) for i, j in cells])
+
+
 class TestStableGrothPartition:
     def test_examples(self):
         win = Window(2, 3)
@@ -292,6 +322,34 @@ class TestGPPartition:
         win = Window(3, 4)
         f = gp_partition((2, 1), win)
         assert symmetrize_check(f, win.nvars, win.maxdeg)
+
+    def test_equals_oracle(self):
+        for win in (Window(3, 8), Window(4, 9)):
+            for size in range(9):
+                for lam in strict_partitions_of(size):
+                    got = gp_partition(lam, win)
+                    want = oracle_gp_partition(lam, win)
+                    assert got.nvars == want.nvars == win.nvars, (lam, win)
+                    assert got.canonical_text() == want.canonical_text(), (lam, win)
+        # more distinct monomials than one chunk of decoded terms
+        win = Window(20, 4)
+        got = gp_partition((1,), win)
+        assert len(got.terms) > stable._CHUNK
+        assert got.canonical_text() == oracle_gp_partition((1,), win).canonical_text()
+
+    def test_zero_beyond_nvars(self, monkeypatch):
+        # the diagonal strictly increases, so no tableau exists and none is
+        # enumerated
+        def no_tableaux(*args):
+            raise AssertionError("enumerated tableaux of a shape with too many parts")
+
+        monkeypatch.setattr(stable, "shifted_set_valued_tableaux", no_tableaux)
+        for lam, win in [((2, 1), Window(1, 3)), ((3, 2, 1), Window(2, 8)),
+                         ((5, 4, 3, 2, 1), Window(4, 17)), ((4, 3, 2, 1), Window(3, 10))]:
+            f = gp_partition(lam, win)
+            assert not f and f.nvars == win.nvars, (lam, win)
+        with pytest.raises(ValueError):
+            gp_partition((1, 2), Window(1, 3))
 
     def test_beta_zero_is_classical_schur_p(self):
         for lam in [(1,), (2,), (2, 1), (3,), (3, 1)]:
