@@ -1,21 +1,23 @@
 """Grothendieck and symplectic Grothendieck polynomials.
 
 Both families are generated by beta divided differences.  An element climbs
-by first ascents to its nearest dominant ancestor, where the family has a
-closed form: the monomial x^code for a dominant permutation (weakly
-decreasing code), and the product of x_i + x_j + beta*x_i*x_j over the
-diagram for an Sp-dominant fpf involution.  The beta steps of the climb are
-then applied in reverse to descend to the element.  Transition identities
-are verified by expanding both sides into honest polynomials.  Polynomials
-are expanded in the permutation-indexed basis by repeatedly stripping the
-lowest-degree homogeneous part, which is a Z[beta]-combination of Schubert
-polynomials.
+to a dominant ancestor, where the family has a closed form: the monomial
+x^code for a dominant permutation (weakly decreasing code), and the product
+of x_i + x_j + beta*x_i*x_j over the diagram for an Sp-dominant fpf
+involution.  A permutation climbs by first ascents, to a dominant ancestor
+that need not be the nearest; an involution takes a shortest climb, to a
+nearest Sp-dominant ancestor (ties go to the least ascent at each step).
+The beta steps of the climb are then applied in reverse to descend to the
+element.  Transition identities are verified by expanding both sides into
+honest polynomials.  Polynomials are expanded in the permutation-indexed
+basis by repeatedly stripping the lowest-degree homogeneous part, which is
+a Z[beta]-combination of Schubert polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .coxeter import (
     FpfInvolution,
@@ -26,6 +28,7 @@ from .coxeter import (
     permutation_from_code,
     reduced_word,
     sp_rothe_diagram,
+    theta,
     transition_indices_perm,
     visible_descents,
 )
@@ -62,9 +65,10 @@ def grothendieck(w: Permutation) -> MultiPoly:
     """The member of the unique beta divided difference family indexed by w,
     normalized so the reversal n...321 maps to the staircase monomial.
 
-    Computed from the nearest dominant permutation above w along first
-    ascents, where the member is x^code.  The result lives in
-    max(1, support) variables; embed or restrict it for others."""
+    Computed from a dominant permutation above w, reached by first ascents,
+    where the member is x^code.  That ancestor need not be the nearest one.
+    The result lives in max(1, support) variables; embed or restrict it
+    for others."""
     return _groth_raw(w.oneline)
 
 
@@ -74,19 +78,70 @@ def schubert(w: Permutation) -> MultiPoly:
     return grothendieck(w).bottom()
 
 
+def _is_sp_dominant_word(z: tuple[int, ...]) -> bool:
+    """is_sp_dominant on a canonical one-line word.  Column c of the diagram
+    holds the rows c < i < z(c) with z(i) > c; each column must be rows
+    c+1 .. c+h, and the heights h must fall strictly until they reach 0."""
+    prev = len(z) + 1
+    for c in range(1, len(z) + 1):
+        rows = [i for i in range(c + 1, z[c - 1]) if z[i - 1] > c]
+        h = len(rows)
+        if h and (h >= prev or rows[-1] != c + h):
+            return False
+        prev = h
+    return True
+
+
+def _at(z: tuple[int, ...], i: int) -> int:
+    """z(i) for a canonical one-line word: theta(i) beyond the support."""
+    return z[i - 1] if i <= len(z) else theta(i)
+
+
+def _conj_word(z: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The canonical one-line word of s_i z s_i, for i < len(z)."""
+    w = list(z)
+    w[i - 1], w[i] = w[i], w[i - 1]
+    w = [i + 1 if v == i else i if v == i + 1 else v for v in w]
+    while len(w) >= 2 and w[-1] == len(w) - 1 and w[-2] == len(w):
+        del w[-2:]
+    return tuple(w)
+
+
+# The climb visits the whole upper set of its start, so the memo holds every
+# fpf involution of support <= 14 (135,135 words); a smaller memo would make
+# the recursion recompute the subtrees it evicted.
+@lru_cache(maxsize=1 << 18)
+def _sp_climb(oneline: tuple[int, ...]) -> tuple[int, int]:
+    """(steps, ascent) of a shortest climb from the canonical word of an fpf
+    involution to an Sp-dominant one: (0, 0) at an Sp-dominant word, else
+    one more than the fewest steps from the conjugation at some ascent, ties
+    going to the least ascent.  Each step raises the length by one, so the
+    steps are the least length gap to an Sp-dominant ancestor."""
+    if _is_sp_dominant_word(oneline):
+        return 0, 0
+    best = None
+    for i in range(1, len(oneline)):
+        if oneline[i - 1] < oneline[i]:
+            y = _conj_word(oneline, i)
+            yi, yj = _at(y, i), _at(y, i + 1)
+            if yi == i + 1 or yi < yj or yj == i:
+                raise RuntimeError(f"conjugating {FpfInvolution(oneline)!r} at the "
+                                   f"ascent {i} does not raise its length")
+            steps = _sp_climb(y)[0]
+            if best is None or steps < best[0]:
+                best = (steps, i)
+    return best[0] + 1, best[1]
+
+
 @cache
 def _sp_groth_raw(oneline: tuple[int, ...]) -> MultiPoly:
-    z = FpfInvolution(oneline)
-    m = max(z.support, 2)
-    if is_sp_dominant(z):
+    m = max(len(oneline), 2)
+    steps, i = _sp_climb(oneline)
+    if not steps:
         # n...321 and theta keep the m - 1 variables of the staircase product
-        is_top = oneline == tuple(range(z.support, 0, -1))
-        return sp_dominant_poly(z, m - 1 if is_top else m)
-    i = next(i for i in range(1, m) if z(i) < z(i + 1))
-    y = z.conj_s(i)
-    if y(i) == i + 1 or y(i) < y(i + 1) or y(i + 1) == i:
-        raise RuntimeError(f"conjugating {z!r} at the ascent {i} does not raise its length")
-    return beta_divided_diff(i, _sp_groth_raw(y.oneline).embed(m))
+        is_top = oneline == tuple(range(len(oneline), 0, -1))
+        return sp_dominant_poly(FpfInvolution(oneline), m - 1 if is_top else m)
+    return beta_divided_diff(i, _sp_groth_raw(_conj_word(oneline, i)).embed(m))
 
 
 def sp_grothendieck(z: FpfInvolution) -> MultiPoly:
@@ -94,34 +149,20 @@ def sp_grothendieck(z: FpfInvolution) -> MultiPoly:
     normalized so n...321 maps to the product of x_i (+) x_j over its
     dominant diagram.
 
-    Computed from the nearest Sp-dominant involution above z along first
-    ascents, where the member is that closed product.  The result lives in
-    m - 1 variables for n...321 and theta (m = max(support, 2)), and in the
-    support otherwise; no term uses x_support, so restricting to support - 1
-    variables loses nothing."""
+    Computed from a nearest Sp-dominant involution above z, where the
+    member is that closed product: the climb takes the fewest ascent
+    conjugations (see _sp_climb), not the first ascents, which can
+    overshoot to a much larger product.  The result lives in m - 1
+    variables for n...321 and theta (m = max(support, 2)), and in the
+    support otherwise; no term uses x_support, so restricting to
+    support - 1 variables loses nothing."""
     return _sp_groth_raw(z.oneline)
 
 
 def is_sp_dominant(z: FpfInvolution) -> bool:
     """True when the diagram is a column-strict shifted staircase anchor:
     column j holds exactly rows j+1 .. j+mu_j for a strict partition mu."""
-    cells = sp_rothe_diagram(z)
-    cols: dict[int, set[int]] = {}
-    for i, j in cells:
-        cols.setdefault(j, set()).add(i)
-    if not cols:
-        return True
-    k = max(cols)
-    if set(cols) != set(range(1, k + 1)):
-        return False
-    mu = []
-    for j in range(1, k + 1):
-        rows = cols[j]
-        m = len(rows)
-        if rows != set(range(j + 1, j + m + 1)):
-            return False
-        mu.append(m)
-    return all(mu[t] > mu[t + 1] for t in range(k - 1)) and mu[-1] > 0
+    return _is_sp_dominant_word(z.oneline)
 
 
 def sp_dominant_poly(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:

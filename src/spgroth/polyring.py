@@ -149,7 +149,7 @@ class _Layout:
     """Field positions of the keys of polynomials in `nvars` variables."""
 
     __slots__ = ("nvars", "shift", "top", "zero", "guard", "x_mask", "x_bias", "nbytes",
-                 "unpack_x")
+                 "unpack_x", "pack_fields", "x_guard")
 
     def __init__(self, nvars: int):
         w = FIELD_BITS
@@ -164,18 +164,28 @@ class _Layout:
         self.x_bias = self.zero >> w
         self.nbytes = w // 8 * nvars
         self.unpack_x = struct.Struct(">" + _FIELD_CODE * nvars).unpack
+        self.pack_fields = struct.Struct(">" + _FIELD_CODE * (nvars + 1)).pack
+        self.x_guard = self.guard ^ _GUARD  # the guard bits of the exponents
 
     def pack(self, bp: int, exps: tuple[int, ...]) -> int:
         if len(exps) != self.nvars:
             raise ValueError("exponent vector length != nvars")
         if not 0 <= bp <= BETA_MAX:
             raise ExponentRangeError(f"beta power {bp}")
-        key = self.zero + bp + (sum(exps) << self.top)
-        for e, s in zip(exps, self.shift):
-            if not EXP_MIN <= e <= EXP_MAX:
-                raise ExponentRangeError(f"exponent {e}")
-            key += e << s
-        return key
+        # every field as a signed FIELD_BITS-bit integer; an exponent is in
+        # range exactly when its field's guard bit equals the bit below it
+        try:
+            fields = int.from_bytes(self.pack_fields(*exps, bp), "big")
+        except struct.error:  # past the signed field, or not an integer
+            fields = None
+        if fields is None or (fields ^ (fields << 1)) & self.x_guard:
+            for e in exps:
+                if not EXP_MIN <= e <= EXP_MAX:
+                    raise ExponentRangeError(f"exponent {e}")
+            raise TypeError(f"exponents must be integers, got {exps!r}")
+        # clear the guard bits and flip the bias bits: each field turns
+        # from e mod 2^FIELD_BITS into the stored e + _BIAS
+        return ((fields & ~self.x_guard) ^ self.zero) + (sum(exps) << self.top)
 
     def exps(self, xkey: int) -> tuple[int, ...]:
         """The exponent tuple of a key shifted right by one field."""

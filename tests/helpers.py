@@ -21,13 +21,19 @@ from spgroth.coxeter import (
     is_fpf_grassmannian,
     perm_length,
     reduced_word,
+    sp_rothe_diagram,
     sp_shape,
     theta,
 )
 from spgroth.grothendieck import grothendieck, sp_grothendieck
 from spgroth.polyring import (
+    BETA_MAX,
+    EXP_MAX,
+    EXP_MIN,
     BetaInt,
+    ExponentRangeError,
     MultiPoly,
+    _layout,
     apply_word,
     beta_divided_diff,
     isobaric,
@@ -124,6 +130,38 @@ def oracle_sp_grothendieck(z: FpfInvolution) -> MultiPoly:
     first-ascent chain.  Carries the library's nvars convention (m - 1 for
     n...321 and theta, else the support)."""
     return _oracle_sp_groth(z.oneline)
+
+
+def oracle_is_sp_dominant(z: FpfInvolution) -> bool:
+    """Sp-dominance read off the diagram as a set of cells: the nonempty
+    columns are 1..k, column j holds exactly rows j+1 .. j+mu_j, and mu is
+    a strict partition."""
+    cols: dict[int, set[int]] = {}
+    for i, j in sp_rothe_diagram(z):
+        cols.setdefault(j, set()).add(i)
+    if set(cols) != set(range(1, len(cols) + 1)):
+        return False
+    mu = [len(cols[j]) for j in range(1, len(cols) + 1)]
+    return (all(cols[j] == set(range(j + 1, j + mu[j - 1] + 1)) for j in cols)
+            and all(mu[t] > mu[t + 1] for t in range(len(mu) - 1)))
+
+
+def fpf_ascents(z: FpfInvolution) -> list[int]:
+    """The i < max(support, 2) with z(i) < z(i + 1): the conjugations the
+    symplectic family climbs by."""
+    return [i for i in range(1, max(z.support, 2)) if z(i) < z(i + 1)]
+
+
+def oracle_sp_dominance_distance(z: FpfInvolution) -> int:
+    """Fewest ascent conjugations from z to an Sp-dominant involution, by a
+    breadth-first search that stops at the first level holding one."""
+    level, steps = {z}, 0
+    while not any(oracle_is_sp_dominant(y) for y in level):
+        level = {y.conj_s(i) for y in level for i in fpf_ascents(y)}
+        steps += 1
+        if not level:
+            raise AssertionError(f"no Sp-dominant involution above {z!r}")
+    return steps
 
 
 def _long_word(n: int) -> tuple[int, ...]:
@@ -381,6 +419,21 @@ def oracle_json_text(f: MultiPoly) -> str:
 # Reference versions of the packed kernel's operators, kept in the form they
 # had before the packing: every key carries its exponent tuple, and nothing
 # bounds an exponent.  All operands of one call have equal-length tuples.
+
+
+def ref_pack(nvars: int, bp: int, exps: tuple[int, ...]) -> int:
+    """The packed key of beta^bp x^exps, one shifted field at a time."""
+    lay = _layout(nvars)
+    if len(exps) != nvars:
+        raise ValueError("exponent vector length != nvars")
+    if not 0 <= bp <= BETA_MAX:
+        raise ExponentRangeError(f"beta power {bp}")
+    key = lay.zero + bp + (sum(exps) << lay.top)
+    for e, s in zip(exps, lay.shift):
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise ExponentRangeError(f"exponent {e}")
+        key += e << s
+    return key
 
 
 def ref_terms(f: MultiPoly) -> dict[tuple[int, tuple[int, ...]], int]:

@@ -5,7 +5,8 @@ import pytest
 
 import spgroth.cli as cli
 from spgroth.cli import main
-from spgroth.grothendieck import TransitionCheck
+from spgroth.coxeter import all_fpf_involutions, fpf_length
+from spgroth.grothendieck import TransitionCheck, sp_grothendieck
 from spgroth.polyring import EXP_MAX, MultiPoly
 
 
@@ -215,8 +216,11 @@ class TestArgparseSurface:
 # before the tableau engine and the expansion classes were merged, three
 # before the stable limits applied only the parabolic quotient of the long
 # word, and four (repeated parts, more rows than variables, the empty shape,
-# an expansion) while the shape series G was still a tableau sum; every op
-# exits 0
+# an expansion) while the shape series G was still a tableau sum, and the
+# five rank-10 symplectic ops of the benchmark's family workload (the wide
+# element, then the four deep ones), copied from perfbench/references.json,
+# which was recorded while the family still climbed by first ascents; every
+# op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -272,7 +276,21 @@ PINNED_OUTPUT = [
      "0fbe2d529bd7b7a384403e9a4f79f8c5a3bff2aeda9c92846dc5c4f1dbf27a13"),
     ("expand G 2,2 --nvars 3 --maxdeg 6 --format json",
      "afe652f23ba5031c8cf405aeec7fce672bbe7f478c9f2eb4eb5028d2eab08fef"),
+    ("compute sp-groth 9,10,8,7,6,5,4,3,1,2",
+     "b8188f6759cc3c3ae74c8152ff57bcda1069d0d19365218b4c3a81a69c62971f"),
+    ("compute sp-groth 2,1,4,3,6,5,9,10,7,8",
+     "65b00862b9543ca9c3c41aa5d33de04868e7b3f926429fb70e10bd73c00efe4e"),
+    ("compute sp-groth 2,1,4,3,7,9,5,10,6,8",
+     "e78a7d7e69c87118fea0ba0960bbc8eedd5ccd327e597e7c61c7fa2db4723bac"),
+    ("compute sp-groth 2,1,5,6,3,4,9,10,7,8",
+     "94261bdc64526b18acaf3048d2fb99d47872570e500b43b2494594e6b5ad59c6"),
+    ("compute sp-groth 3,4,1,2,6,5,9,10,7,8",
+     "2f8e2947bf261562283014d18220bc2e678b407e1fdd9900912971f045e631e3"),
 ]
+
+# sha256 over (one-line word, nvars, text) of the 34 rank-10 involutions of
+# fpf length <= 3, recorded while the family still climbed by first ascents
+LOW_RANK_10_SHA256 = "4abf703f911107a29de720b3656d963d5636a6058e2aacafc6275cfe15d2bfde"
 
 
 class TestPinnedOutput:
@@ -281,6 +299,15 @@ class TestPinnedOutput:
         code, out, _ = run(capsys, *command.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_low_rank_10_family(self):
+        h = hashlib.sha256()
+        zs = [z for z in all_fpf_involutions(10) if fpf_length(z) <= 3]
+        assert len(zs) == 34
+        for z in zs:
+            f = sp_grothendieck(z)
+            h.update(f"{z.oneline} {f.nvars}\n{f.canonical_text()}\n".encode())
+        assert h.hexdigest() == LOW_RANK_10_SHA256
 
 
 class TestPackedRange:

@@ -13,6 +13,7 @@ from spgroth.grothendieck import (
     ExpansionDegreeError,
     _combination,
     _is_beta_homogeneous,
+    _sp_climb,
     beta_rescale_check,
     beta_divided_diff,
     expand_in_grothendieck_basis,
@@ -35,10 +36,14 @@ from helpers import (
     SP4_TABLE,
     SP_351624_TERMS,
     ascent_chain_to_top,
+    fpf_ascents,
+    oracle_fpf_length,
+    oracle_is_sp_dominant,
     oracle_lenart_signed_terms,
     oracle_beta_rescale,
     oracle_beta_zero,
     oracle_grothendieck,
+    oracle_sp_dominance_distance,
     oracle_sp_grothendieck,
     poly_from_beta_terms,
 )
@@ -186,8 +191,10 @@ def _same_output(f: MultiPoly, g: MultiPoly) -> bool:
 
 
 class TestTopDescentOracle:
-    """Seeding at the nearest dominant ancestor changes no output of either
-    family against descending from the top element."""
+    """Seeding each family at a dominant ancestor changes no output against
+    descending from the top element: an involution at a nearest Sp-dominant
+    one (a shortest climb), a permutation at the dominant one its first
+    ascents reach, which need not be the nearest."""
 
     def test_sp_family_rank_8(self):
         # rank 8 holds every smaller involution too, trimmed to canonical form
@@ -197,6 +204,50 @@ class TestTopDescentOracle:
     def test_permutation_family_rank_6(self):
         for w in all_permutations(6):
             assert _same_output(grothendieck(w), oracle_grothendieck(w)), w
+
+
+# the deep elements drawn by the benchmark's rank-10 family workload
+# (DEEP in perfbench/run.py); by first ascents each climbs 11-12 steps
+DEEP_RANK_10 = ("2,1,4,3,6,5,9,10,7,8", "2,1,4,3,7,9,5,10,6,8", "2,1,5,6,3,4,9,10,7,8",
+                "3,4,1,2,6,5,9,10,7,8")
+
+
+class TestSpClimb:
+    """The symplectic family climbs by a shortest route to an Sp-dominant
+    involution, against a breadth-first search."""
+
+    @staticmethod
+    def _check_climb(z: FpfInvolution) -> None:
+        steps = _sp_climb(z.oneline)[0]
+        assert steps == oracle_sp_dominance_distance(z), z
+        for left in range(steps, 0, -1):
+            got, i = _sp_climb(z.oneline)
+            assert got == left and i in fpf_ascents(z), z
+            y = z.conj_s(i)
+            assert oracle_fpf_length(y) == oracle_fpf_length(z) + 1, (z, i)
+            z = y
+        assert _sp_climb(z.oneline) == (0, 0) and oracle_is_sp_dominant(z), z
+
+    def test_shortest_up_to_rank_8(self):
+        # rank 8 holds every smaller involution too, trimmed to canonical form
+        for z in all_fpf_involutions(8):
+            self._check_climb(z)
+
+    @pytest.mark.parametrize("word", DEEP_RANK_10)
+    def test_shortest_deep_rank_10(self, word):
+        self._check_climb(parse_fpf(word))
+
+    def test_ties_go_to_least_ascent(self):
+        for z in all_fpf_involutions(8):
+            steps, i = _sp_climb(z.oneline)
+            if steps:
+                shortest = [j for j in fpf_ascents(z)
+                            if oracle_sp_dominance_distance(z.conj_s(j)) == steps - 1]
+                assert i == shortest[0], z
+
+    def test_dominance_against_diagram(self):
+        for z in all_fpf_involutions(10):
+            assert is_sp_dominant(z) == oracle_is_sp_dominant(z), z
 
 
 class TestLenartTransition:

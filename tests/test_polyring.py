@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as stgs
@@ -14,6 +15,7 @@ from spgroth.grothendieck import sp_grothendieck
 from spgroth.polyring import (
     _CHUNK,
     _add_multiple,
+    _layout,
     _times_one_plus_beta_x,
     BETA_MAX,
     EXP_MAX,
@@ -39,6 +41,7 @@ from helpers import (
     permutation_from_word,
     random_beta_poly,
     ref_act_si,
+    ref_pack,
     ref_add,
     ref_beta_divided_diff,
     ref_divided_diff,
@@ -510,6 +513,50 @@ class TestPackedRange:
                 assert list(f.iter_beta_terms()) == [(bp, exps, 5)]
                 assert f.total_degree() == sum(exps)
                 assert f.has_negative_exponents() == (EXP_MIN in exps)
+
+    def test_pack_equals_loop(self):
+        # one packing of all fields against the per-field loop, with every
+        # field often at an edge of its range
+        rng = random.Random(5)
+        edges = (EXP_MIN, EXP_MIN + 1, -1, 0, 1, EXP_MAX - 1, EXP_MAX)
+        for n in (1, 2, 3, 6, 20, 60):
+            for _ in range(200):
+                exps = tuple(rng.choice(edges) if rng.random() < 0.5
+                             else rng.randint(EXP_MIN, EXP_MAX) for _ in range(n))
+                bp = rng.choice((0, 1, BETA_MAX, rng.randint(0, BETA_MAX)))
+                assert _layout(n).pack(bp, exps) == ref_pack(n, bp, exps), (bp, exps)
+
+    def test_pack_errors_equal_loop(self):
+        # the same error for an out-of-range value in each field: beta is
+        # checked first, then the exponents in order
+        def error(pack, *args):
+            with pytest.raises(ValueError) as info:
+                pack(*args)
+            return type(info.value), str(info.value)
+
+        n = 4
+        far = (-(1 << 15) - 1, 1 << 15, 1 << 40, -(1 << 40))
+        cases = [(0, bad) for bad in (-1, BETA_MAX + 1) + far]
+        cases += [(field, bad) for field in range(1, n + 1)
+                  for bad in (EXP_MIN - 1, EXP_MAX + 1) + far]
+        for field, bad in cases:
+            for later in (None, EXP_MAX + 2):
+                exps, bp = [EXP_MAX, EXP_MIN, 0, 3], BETA_MAX
+                if later is not None:
+                    exps[n - 1] = later
+                if field:
+                    exps[field - 1] = bad
+                else:
+                    bp = bad
+                args = (bp, tuple(exps))
+                want = error(ref_pack, n, *args)
+                assert want[0] is ExponentRangeError
+                assert error(_layout(n).pack, *args) == want, args
+        for exps in ((), (0,) * (n - 1), (0,) * (n + 1)):
+            assert error(_layout(n).pack, 0, exps) == error(ref_pack, n, 0, exps)
+        for pack in (_layout(2).pack, lambda *args: ref_pack(2, *args)):
+            with pytest.raises(TypeError):
+                pack(0, (1.5, 0))
 
     def test_products_reach_the_edges(self):
         x = MultiPoly.x
