@@ -1,7 +1,9 @@
 """Command-line surface: compute / expand / verify / sweep.
 
-Output is canonical and byte-identical across runs.  Exit codes: 0 success,
-2 parse error, 3 precondition violation, 4 verification failure.
+verify decides one case of an identity, and sweep every case at a rank,
+through the same _check.  Output is canonical and byte-identical across
+runs.  Exit codes: 0 success, 2 parse error, 3 precondition violation, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ from .grothendieck import (
 from .polyring import MultiPoly
 
 SCHEMA_VERSION = 1
-
-VERIFY_NAMES = ("lenart-transition", "sp-transition", "sp-recurrence", "f-grass",
-                "stable-sp-transition", "beta-rescale")
 
 
 class CliError(Exception):
@@ -137,48 +136,56 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _sides(lhs: MultiPoly, rhs: MultiPoly) -> Callable[[], str]:
-    """The FAIL detail of a two-sided check, serialized only when called."""
-    return lambda: f"lhs = {lhs.canonical_text()}\nrhs = {rhs.canonical_text()}"
+# identity -> (element kind, index options it needs, the elements a sweep
+# visits, or None for all); "shifted" is an fpf involution read on Z at
+# --offset
+IDENTITIES = {
+    "lenart-transition": ("perm", ("k",), None),
+    "sp-transition": ("fpf", ("j", "k"), None),
+    "sp-recurrence": ("fpf", (), lambda z: z != cx.FpfInvolution.theta_involution()),
+    "f-grass": ("fpf", (), lambda z: cx.is_fpf_grassmannian(z) is not None),
+    "stable-sp-transition": ("shifted", ("j", "k"), None),
+    "beta-rescale": ("perm", (), None),
+}
 
 
-def _run_verify(name: str, args) -> tuple[bool, Callable[[], str]]:
-    """(verdict, detail): detail() is the text printed under FAIL, "" for
-    none."""
-    win = _window(args)
-    if name == "lenart-transition":
-        if args.k is None:
-            raise _precondition_error("lenart-transition needs --k")
-        chk = verify_lenart_transition(_parse("perm", args.element), args.k)
-        return chk.equal and bool(chk.signed_equal), _sides(chk.lhs, chk.rhs)
-    if name == "sp-transition":
-        if args.j is None or args.k is None:
-            raise _precondition_error("sp-transition needs --j and --k")
-        chk = verify_sp_transition(_parse("fpf", args.element), args.j, args.k)
-        return chk.equal, _sides(chk.lhs, chk.rhs)
-    if name == "sp-recurrence":
-        chk = sp_transition_recurrence(_parse("fpf", args.element))
-        return chk.certified, _sides(chk.lhs, chk.rhs)
-    if name == "f-grass":
-        z = _parse("fpf", args.element)
-        if cx.is_fpf_grassmannian(z) is None:
-            raise _precondition_error(f"{z!r} is not FPF-Grassmannian")
-        lhs = st.gp_sp(z, win)
-        rhs = st.gp_partition(cx.sp_shape(z), win)
-        return lhs == rhs, _sides(lhs, rhs)
-    if name == "stable-sp-transition":
-        if args.j is None or args.k is None:
-            raise _precondition_error("stable-sp-transition needs --j and --k")
-        z = cx.ShiftedFpfInvolution(_parse("fpf", args.element), args.offset)
-        ok = st.verify_stable_sp_transition(z, args.j, args.k, win)
-        return ok, lambda: f"window nvars={win.nvars} maxdeg={win.maxdeg}"
-    if name == "beta-rescale":
-        return beta_rescale_check(_parse("perm", args.element)), lambda: ""
-    raise _parse_error(f"unknown identity {name!r}")
+def _sides(lhs: MultiPoly, rhs: MultiPoly) -> str:
+    """The FAIL detail of a two-sided check."""
+    return f"lhs = {lhs.canonical_text()}\nrhs = {rhs.canonical_text()}"
+
+
+def _check(identity: str, element, j, k, win: st.Window) -> tuple[bool, Callable[[], str]]:
+    """(verdict, detail) of one case of the identity: detail() is the text
+    printed under FAIL, "" for none, and computes it only when called.  The
+    checks are looked up when called."""
+    if identity == "lenart-transition":
+        chk = verify_lenart_transition(element, k)
+        return chk.equal and bool(chk.signed_equal), lambda: _sides(chk.lhs, chk.rhs)
+    if identity == "sp-transition":
+        chk = verify_sp_transition(element, j, k)
+        return chk.equal, lambda: _sides(chk.lhs, chk.rhs)
+    if identity == "sp-recurrence":
+        chk = sp_transition_recurrence(element)
+        return chk.certified, lambda: _sides(chk.lhs, chk.rhs)
+    if identity == "f-grass":
+        return st.verify_f_grass(element, win), lambda: _sides(
+            st.gp_sp(element, win), st.gp_partition(cx.sp_shape(element), win))
+    if identity == "stable-sp-transition":
+        return (st.verify_stable_sp_transition(element, j, k, win),
+                lambda: f"window nvars={win.nvars} maxdeg={win.maxdeg}")
+    return beta_rescale_check(element), lambda: ""
 
 
 def cmd_verify(args) -> int:
-    ok, detail = _run_verify(args.identity, args)
+    win = _window(args)
+    kind, needs, _ = IDENTITIES[args.identity]
+    if any(getattr(args, name) is None for name in needs):
+        raise _precondition_error(
+            f"{args.identity} needs " + " and ".join(f"--{name}" for name in needs))
+    element = _parse("fpf" if kind == "shifted" else kind, args.element)
+    if kind == "shifted":
+        element = cx.ShiftedFpfInvolution(element, args.offset)
+    ok, detail = _check(args.identity, element, args.j, args.k, win)
     if args.format == "json":
         obj = {"schema_version": SCHEMA_VERSION, "command": "verify",
                "identity": args.identity, "element": args.element,
@@ -192,54 +199,42 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
-def _sweep_cases(identity: str, rank: int, win: st.Window):
-    """Yield (label, bool) per identity instance at the given rank."""
-    if identity == "lenart-transition":
-        for v in cx.all_permutations(rank):
+def _sweep_cases(identity: str, rank: int):
+    """Yield (label, element, j, k) per case of the identity at the rank:
+    every element of its kind that the sweep visits, with every index
+    value it needs (k up to rank + 1, or each 2-cycle (j, k) inside the
+    rank, the shifted kind at offsets 0 and 2)."""
+    kind, needs, visits = IDENTITIES[identity]
+    elements = cx.all_permutations(rank) if kind == "perm" else cx.all_fpf_involutions(rank)
+    for el in elements:
+        if visits is not None and not visits(el):
+            continue
+        word = cx.format_word(el.oneline)
+        if not needs:
+            yield word, el, None, None
+        elif kind == "perm":
             for k in range(1, rank + 2):
-                chk = verify_lenart_transition(v, k)
-                yield (f"{cx.format_word(v.oneline)} k={k}",
-                       chk.equal and bool(chk.signed_equal))
-    elif identity == "sp-transition":
-        for v in cx.all_fpf_involutions(rank):
-            for a, b in v.cycles_in_rank(rank):
-                yield (f"{cx.format_word(v.oneline)} (j,k)=({a},{b})",
-                       verify_sp_transition(v, a, b).equal)
-    elif identity == "sp-recurrence":
-        for z in cx.all_fpf_involutions(rank):
-            if z == cx.FpfInvolution.theta_involution():
-                continue
-            yield (cx.format_word(z.oneline), sp_transition_recurrence(z).certified)
-    elif identity == "f-grass":
-        for z in cx.all_fpf_involutions(rank):
-            if cx.is_fpf_grassmannian(z) is not None:
-                yield (cx.format_word(z.oneline), st.verify_f_grass(z, win))
-    elif identity == "stable-sp-transition":
-        for z in cx.all_fpf_involutions(rank):
-            for a, b in z.cycles_in_rank(rank):
+                yield f"{word} k={k}", el, None, k
+        elif kind == "fpf":
+            for a, b in el.cycles_in_rank(rank):
+                yield f"{word} (j,k)=({a},{b})", el, a, b
+        else:
+            for a, b in el.cycles_in_rank(rank):
                 for half_offset in (0, 1):
-                    v = cx.ShiftedFpfInvolution(cx.shift_fpf(half_offset, z), 2 * half_offset)
-                    yield (f"{cx.format_word(z.oneline)} (j,k)=({a},{b}) off={2 * half_offset}",
-                           st.verify_stable_sp_transition(v, a, b, win))
-    elif identity == "beta-rescale":
-        for w in cx.all_permutations(rank):
-            yield (cx.format_word(w.oneline), beta_rescale_check(w))
-    else:
-        raise _parse_error(f"unknown identity {identity!r}")
+                    v = cx.ShiftedFpfInvolution(cx.shift_fpf(half_offset, el), 2 * half_offset)
+                    yield f"{word} (j,k)=({a},{b}) off={2 * half_offset}", v, a, b
 
 
 def cmd_sweep(args) -> int:
     if args.rank < 1:
         raise _precondition_error(f"--rank must be positive, got {args.rank}")
-    if args.identity in ("sp-transition", "sp-recurrence", "f-grass",
-                         "stable-sp-transition") and args.rank % 2:
+    if IDENTITIES[args.identity][0] != "perm" and args.rank % 2:
         raise _precondition_error("this identity sweeps involutions: --rank must be even")
     win = _window(args)
-    failures = []
-    total = 0
-    for label, ok in _sweep_cases(args.identity, args.rank, win):
+    failures, total = [], 0
+    for label, element, j, k in _sweep_cases(args.identity, args.rank):
         total += 1
-        if not ok:
+        if not _check(args.identity, element, j, k, win)[0]:
             failures.append(label)
     if args.format == "json":
         obj = {"schema_version": SCHEMA_VERSION, "command": "sweep",
@@ -281,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="check a named identity on one element")
-    p.add_argument("identity", choices=VERIFY_NAMES)
+    p.add_argument("identity", choices=tuple(IDENTITIES))
     p.add_argument("element")
     p.add_argument("--j", type=int)
     p.add_argument("--k", type=int)
@@ -290,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="check a named identity exhaustively at a rank")
-    p.add_argument("identity", choices=VERIFY_NAMES)
+    p.add_argument("identity", choices=tuple(IDENTITIES))
     p.add_argument("--rank", type=int, required=True)
     add_common(p)
     p.set_defaults(func=cmd_sweep)

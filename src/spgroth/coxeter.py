@@ -186,6 +186,23 @@ def all_permutations(n: int):
 # ---------------------------------------------------------------------------
 
 
+def fpf_value(z: tuple[int, ...], i: int) -> int:
+    """z(i) for the canonical word of an fpf involution: theta(i) beyond it."""
+    return z[i - 1] if 1 <= i <= len(z) else theta(i)
+
+
+def conj_word(z: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """The canonical one-line word of (i,j) z (i,j), for the canonical word
+    of an fpf involution z."""
+    n = max(len(z), i + i % 2, j + j % 2)  # len(z) is even
+    w = [*z, *(theta(t) for t in range(len(z) + 1, n + 1))]
+    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
+    w = [j if v == i else i if v == j else v for v in w]
+    while len(w) >= 2 and w[-1] == len(w) - 1 and w[-2] == len(w):
+        del w[-2:]
+    return tuple(w)
+
+
 @dataclass(frozen=True)
 class FpfInvolution:
     oneline: tuple[int, ...] = ()
@@ -242,23 +259,14 @@ class FpfInvolution:
         return len(self.oneline)
 
     def __call__(self, i: int) -> int:
-        if 1 <= i <= len(self.oneline):
-            return self.oneline[i - 1]
-        return theta(i)
+        return fpf_value(self.oneline, i)
 
     def conj_s(self, i: int) -> "FpfInvolution":
         return self.conj_transposition(i, i + 1)
 
     def conj_transposition(self, i: int, j: int) -> "FpfInvolution":
         """(i,j) z (i,j) as an involution."""
-        n = max(self.support, i, j)
-        if n % 2:
-            n += 1
-        word = [self(k) for k in range(1, n + 1)]
-        word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
-        swap = {i: j, j: i}
-        word = [swap.get(v, v) for v in word]
-        return FpfInvolution.from_oneline(word)
+        return FpfInvolution(conj_word(self.oneline, i, j))
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, self(i)) for i in range(1, self.support + 1) if i < self(i))

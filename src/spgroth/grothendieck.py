@@ -23,12 +23,13 @@ from .coxeter import (
     FpfInvolution,
     Permutation,
     bruhat_cover_up,
+    conj_word,
     fpf_transition_indices,
+    fpf_value,
     perm_length,
     permutation_from_code,
     reduced_word,
     sp_rothe_diagram,
-    theta,
     transition_indices_perm,
     visible_descents,
 )
@@ -92,21 +93,6 @@ def _is_sp_dominant_word(z: tuple[int, ...]) -> bool:
     return True
 
 
-def _at(z: tuple[int, ...], i: int) -> int:
-    """z(i) for a canonical one-line word: theta(i) beyond the support."""
-    return z[i - 1] if i <= len(z) else theta(i)
-
-
-def _conj_word(z: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """The canonical one-line word of s_i z s_i, for i < len(z)."""
-    w = list(z)
-    w[i - 1], w[i] = w[i], w[i - 1]
-    w = [i + 1 if v == i else i if v == i + 1 else v for v in w]
-    while len(w) >= 2 and w[-1] == len(w) - 1 and w[-2] == len(w):
-        del w[-2:]
-    return tuple(w)
-
-
 # The climb visits the whole upper set of its start, so the memo holds every
 # fpf involution of support <= 14 (135,135 words); a smaller memo would make
 # the recursion recompute the subtrees it evicted.
@@ -122,8 +108,8 @@ def _sp_climb(oneline: tuple[int, ...]) -> tuple[int, int]:
     best = None
     for i in range(1, len(oneline)):
         if oneline[i - 1] < oneline[i]:
-            y = _conj_word(oneline, i)
-            yi, yj = _at(y, i), _at(y, i + 1)
+            y = conj_word(oneline, i, i + 1)
+            yi, yj = fpf_value(y, i), fpf_value(y, i + 1)
             if yi == i + 1 or yi < yj or yj == i:
                 raise RuntimeError(f"conjugating {FpfInvolution(oneline)!r} at the "
                                    f"ascent {i} does not raise its length")
@@ -141,7 +127,7 @@ def _sp_groth_raw(oneline: tuple[int, ...]) -> MultiPoly:
         # n...321 and theta keep the m - 1 variables of the staircase product
         is_top = oneline == tuple(range(len(oneline), 0, -1))
         return sp_dominant_poly(FpfInvolution(oneline), m - 1 if is_top else m)
-    return beta_divided_diff(i, _sp_groth_raw(_conj_word(oneline, i)).embed(m))
+    return beta_divided_diff(i, _sp_groth_raw(conj_word(oneline, i, i + 1)).embed(m))
 
 
 def sp_grothendieck(z: FpfInvolution) -> MultiPoly:
@@ -371,13 +357,21 @@ def verify_lenart_transition(v: Permutation, k: int) -> TransitionCheck:
                            signed_equal=(_combination(grothendieck, signed, 1) == direct))
 
 
+def _sp_transition_left(v: FpfInvolution, j: int, k: int, I) -> MultiPoly:
+    """The left side of the symplectic transition for the 2-cycle v(j) = k:
+    (1 + beta x_j)(1 + beta x_k) times the v-polynomial through the
+    i-factors of the index list I."""
+    terms = _transposition_products(v, j, I, FpfInvolution.conj_transposition)
+    left = _combination(sp_grothendieck, terms, 1)
+    return _times_one_plus_beta_x(j, _times_one_plus_beta_x(k, left))
+
+
 def verify_sp_transition(v: FpfInvolution, j: int, k: int) -> TransitionCheck:
     """Check the symplectic transition identity for the 2-cycle v(j) = k."""
     I, L = fpf_transition_indices(v, j, k)
-    conj = FpfInvolution.conj_transposition
-    left = _combination(sp_grothendieck, _transposition_products(v, j, I, conj), 1)
-    rhs = _combination(sp_grothendieck, _transposition_products(v, k, L, conj), 1)
-    lhs = _times_one_plus_beta_x(j, _times_one_plus_beta_x(k, left))
+    lhs = _sp_transition_left(v, j, k, I)
+    rhs = _combination(sp_grothendieck, _transposition_products(
+        v, k, L, FpfInvolution.conj_transposition), 1)
     return TransitionCheck(lhs, rhs, lhs == rhs)
 
 
@@ -424,10 +418,7 @@ def sp_transition_recurrence(z: FpfInvolution) -> RecurrenceCheck:
     I, L = fpf_transition_indices(v, j, k)
     asc_plus_ok = L == (l,)
     lhs = MultiPoly.beta() * sp_grothendieck(z)
-    pi_minus = _combination(sp_grothendieck, _transposition_products(
-        v, j, I, FpfInvolution.conj_transposition), 1)
-    rhs = (_times_one_plus_beta_x(j, _times_one_plus_beta_x(k, pi_minus))
-           - sp_grothendieck(v))
+    rhs = _sp_transition_left(v, j, k, I) - sp_grothendieck(v)
     certified = asc_plus_ok and lhs == rhs
     return RecurrenceCheck(z, v, j, k, l, I, certified, lhs, rhs)
 

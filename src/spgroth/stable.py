@@ -37,6 +37,7 @@ from .coxeter import (
     reduced_word,
     sp_shape,
     strict_partitions_of,
+    transpose_partition,
 )
 from .grothendieck import (
     Expansion,
@@ -351,16 +352,15 @@ def sp_grassmannian_formula(z: FpfInvolution) -> MultiPoly:
 
 
 def _triangular_expand(f: MultiPoly, win: Window, shapes_of, basis_at_window):
-    """Shared elimination over the shapes with at most nvars parts: by
-    increasing size, then descending lexicographic (a linear extension of
-    dominance, most dominant first); the pivot is the coefficient of the
-    shape monomial itself."""
+    """Shared elimination over the shapes that fit the window, shapes_of(size)
+    listing those of one size with at most nvars parts: by increasing size,
+    then descending lexicographic (a linear extension of dominance, most
+    dominant first); the pivot is the coefficient of the shape monomial
+    itself."""
     rem = win.clip(f)
     found = []
     for size in range(win.maxdeg + 1):
         for lam in shapes_of(size):
-            if len(lam) > win.nvars:
-                continue
             c = rem.coefficient(lam)
             if c:
                 found.append((lam, c))
@@ -374,11 +374,14 @@ def _triangular_expand(f: MultiPoly, win: Window, shapes_of, basis_at_window):
 
 def expand_in_G_basis(f: MultiPoly, win: Window) -> Expansion:
     """Expand a window-symmetric polynomial over partition shapes.  Exact
-    for shapes of size <= maxdeg with at most nvars rows."""
+    for shapes of size <= maxdeg with at most nvars rows, which are listed
+    as the transposes of the partitions with parts at most nvars."""
     if not symmetrize_check(f, win.nvars, win.maxdeg):
         raise ValueError("input is not symmetric at the window")
-    terms = _triangular_expand(f, win, partitions_of,
-                               lambda lam: stable_groth_partition(lam, win))
+    terms = _triangular_expand(
+        f, win, lambda size: sorted(map(transpose_partition, partitions_of(size, win.nvars)),
+                                    reverse=True),
+        lambda lam: stable_groth_partition(lam, win))
     return Expansion(terms)
 
 
@@ -387,8 +390,9 @@ def expand_in_GP_basis(f: MultiPoly, win: Window) -> Expansion:
     shapes of size <= maxdeg with at most nvars parts."""
     if not symmetrize_check(f, win.nvars, win.maxdeg):
         raise ValueError("input is not symmetric at the window")
-    terms = _triangular_expand(f, win, strict_partitions_of,
-                               lambda lam: gp_partition(lam, win))
+    terms = _triangular_expand(
+        f, win, lambda size: [lam for lam in strict_partitions_of(size) if len(lam) <= win.nvars],
+        lambda lam: gp_partition(lam, win))
     return Expansion(terms)
 
 

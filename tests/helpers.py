@@ -87,7 +87,17 @@ def oracle_min_conjugating_length(z: FpfInvolution, n: int) -> int:
 
 
 def conj_by_transposition(z: FpfInvolution, i: int, j: int) -> FpfInvolution:
-    return z.conj_transposition(i, j)
+    """(i,j) z (i,j) by composing the three maps on 1..n, n an even bound
+    past i, j and the support, with z read off its word and theta."""
+    def t(x):
+        return j if x == i else i if x == j else x
+
+    def zz(x):
+        return z.oneline[x - 1] if x <= z.support else theta(x)
+
+    n = max(z.support, i, j) + 2
+    n += n % 2
+    return FpfInvolution.from_oneline(t(zz(t(x))) for x in range(1, n + 1))
 
 
 @cache

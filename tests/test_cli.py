@@ -105,8 +105,15 @@ class TestVerify:
         assert "not FPF-Grassmannian" in err
 
     def test_missing_index_exit_3(self, capsys):
-        code, _, err = run(capsys, "verify", "sp-transition", "3412")
-        assert code == 3
+        needing = {name: entry for name, entry in cli.IDENTITIES.items() if entry[1]}
+        assert needing.keys() == MISSING_INDEX_ERRORS.keys()
+        for identity, (kind, needs, _) in needing.items():
+            element = "13452" if kind == "perm" else "351624"
+            # none of the options, and each one alone
+            for given in [()] + [(name,) for name in needs if len(needs) > 1]:
+                options = [f"--{name}=1" for name in given]
+                assert run(capsys, "verify", identity, element, *options) == (
+                    3, "", MISSING_INDEX_ERRORS[identity]), (identity, given)
 
     def test_lenart(self, capsys):
         code, out, _ = run(capsys, "verify", "lenart-transition", "13452", "--k", "3")
@@ -158,6 +165,21 @@ class TestVerify:
         assert json.loads(out) == {"schema_version": 1, "command": "verify",
                                    "identity": "sp-transition", "element": "351624",
                                    "result": "FAIL"}
+
+    def test_f_grass_failure_prints_both_sides(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.st, "verify_f_grass", lambda z, win: False)
+        side = "[1] * x2 + [1] * x1 + [0,1] * x1 x2"
+        assert run(capsys, "verify", "f-grass", "3412", "--nvars", "2", "--maxdeg", "3") == (
+            4, f"FAIL\nlhs = {side}\nrhs = {side}\n", "")
+
+
+# stderr of verify without the index options an identity needs, recorded
+# while each identity still tested its own options
+MISSING_INDEX_ERRORS = {
+    "lenart-transition": "error: lenart-transition needs --k\n",
+    "sp-transition": "error: sp-transition needs --j and --k\n",
+    "stable-sp-transition": "error: stable-sp-transition needs --j and --k\n",
+}
 
 
 class TestSweep:
@@ -326,10 +348,12 @@ class TestPackedRange:
 
 
 # stdout, stderr and exit code of precondition failures, recorded while the
-# CLI still turned each ValueError into its own error, except the last three:
+# CLI still turned each ValueError into its own error, except the last four:
 # the index check of the permutation transition, the packed range of the
-# first isobaric step of a one-row shape at the exponent limit, and the
-# packed range of a shifted one-row shape one past that limit
+# first isobaric step of a one-row shape at the exponent limit, the packed
+# range of a shifted one-row shape one past that limit, and a G series
+# outside the strict-shape span, recorded while the G expansion still
+# listed every partition of each size
 PINNED_ERRORS = [
     ("expand groth 4321 --max-expansion-degree 2",
      "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
@@ -345,6 +369,9 @@ PINNED_ERRORS = [
     ("compute GP 16384 --nvars 1 --maxdeg 16384",
      "error: exponent 16384 outside the packed range "
      "(exponents -16384..16383, beta powers 0..32767)\n"),
+    ("expand G 2 --basis GP --nvars 3 --maxdeg 4",
+     "error: nonzero in-window remainder: input is not in the basis span at this window "
+     "(left: [-1] * x2 x3 + [-1] * x1 x3 + [-1] * x1 x2 + [0,-2] * x1 x2 x3)\n"),
 ]
 
 

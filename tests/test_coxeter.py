@@ -7,6 +7,7 @@ from spgroth.coxeter import (
     all_fpf_involutions,
     all_permutations,
     bruhat_cover_up,
+    conj_word,
     dearc,
     fpf_cover_up,
     fpf_length,
@@ -31,6 +32,7 @@ from spgroth.coxeter import (
 
 from helpers import (
     ascent_chain_to_top,
+    conj_by_transposition,
     fpf_grassmannian_from_shape,
     oracle_fpf_length,
     oracle_inversions,
@@ -179,6 +181,15 @@ class TestFpfBasics:
         assert THETA.conj_s(2) == parse_fpf("3412")
         assert parse_fpf("3412").conj_s(1) == parse_fpf("4321")
         assert parse_fpf("4321").conj_transposition(2, 3) == parse_fpf("4321")
+
+    def test_conjugation_equals_composition(self):
+        # every involution of rank <= 8 and every i < j <= rank + 2
+        for z in all_fpf_involutions(8):
+            for j in range(2, 11):
+                for i in range(1, j):
+                    y = conj_by_transposition(z, i, j)
+                    assert z.conj_transposition(i, j) == y, (z, i, j)
+                    assert conj_word(z.oneline, i, j) == y.oneline
 
     def test_cycles_in_rank(self):
         assert THETA.cycles_in_rank(6) == ((1, 2), (3, 4), (5, 6))

@@ -484,6 +484,22 @@ class TestExpandG:
         with pytest.raises(ValueError):
             expand_in_G_basis(X(1, 2), win)
 
+    def test_enumerates_only_fitting_shapes(self, monkeypatch):
+        # at two variables only the shapes with at most two rows fit, one
+        # per pair of row lengths; the other partitions are never listed
+        listed = []
+
+        def counting(*args):
+            for lam in partitions_of(*args):
+                listed.append(lam)
+                yield lam
+
+        monkeypatch.setattr(stable, "partitions_of", counting)
+        win = Window(2, 30)
+        e = expand_in_G_basis(stable_groth_partition((1,), win), win)
+        assert e.as_dict() == {(1,): BetaInt.of(1)}
+        assert len(listed) == sum(size // 2 + 1 for size in range(31))
+
     def test_window_monotonicity(self):
         small, large = Window(3, 4), Window(4, 6)
         f_small = stable_groth_perm(parse_permutation("321"), small)
