@@ -138,7 +138,7 @@ def cmd_expand(args) -> int:
 
 # identity -> (element kind, index options it needs, the elements a sweep
 # visits, or None for all); "shifted" is an fpf involution read on Z at
-# --offset
+# --offset, and verify rejects every index option an identity does not read
 IDENTITIES = {
     "lenart-transition": ("perm", ("k",), None),
     "sp-transition": ("fpf", ("j", "k"), None),
@@ -182,9 +182,15 @@ def cmd_verify(args) -> int:
     if any(getattr(args, name) is None for name in needs):
         raise _precondition_error(
             f"{args.identity} needs " + " and ".join(f"--{name}" for name in needs))
+    takes = needs + ("offset",) if kind == "shifted" else needs
+    unread = [name for name in ("j", "k", "offset")
+              if getattr(args, name) is not None and name not in takes]
+    if unread:
+        raise _precondition_error(
+            f"{args.identity} does not take " + " and ".join(f"--{name}" for name in unread))
     element = _parse("fpf" if kind == "shifted" else kind, args.element)
     if kind == "shifted":
-        element = cx.ShiftedFpfInvolution(element, args.offset)
+        element = cx.ShiftedFpfInvolution(element, args.offset or 0)
     ok, detail = _check(args.identity, element, args.j, args.k, win)
     if args.format == "json":
         obj = {"schema_version": SCHEMA_VERSION, "command": "verify",
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("element")
     p.add_argument("--j", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--offset", type=int)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

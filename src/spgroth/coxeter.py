@@ -197,10 +197,16 @@ def conj_word(z: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     n = max(len(z), i + i % 2, j + j % 2)  # len(z) is even
     w = [*z, *(theta(t) for t in range(len(z) + 1, n + 1))]
     w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-    w = [j if v == i else i if v == j else v for v in w]
-    while len(w) >= 2 and w[-1] == len(w) - 1 and w[-2] == len(w):
-        del w[-2:]
-    return tuple(w)
+    return _trim_theta_pairs([j if v == i else i if v == j else v for v in w])
+
+
+def _trim_theta_pairs(word: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line word of an fpf involution without its trailing pairs
+    (n, n - 1) on which it agrees with theta: the canonical word."""
+    n = len(word)
+    while n >= 2 and word[n - 1] == n - 1 and word[n - 2] == n:
+        n -= 2
+    return tuple(word[:n])
 
 
 @dataclass(frozen=True)
@@ -223,10 +229,7 @@ class FpfInvolution:
 
     @staticmethod
     def from_oneline(word) -> "FpfInvolution":
-        word = list(word)
-        while len(word) >= 2 and word[-1] == len(word) - 1 and word[-2] == len(word):
-            word = word[:-2]
-        return FpfInvolution(tuple(word))
+        return FpfInvolution(_trim_theta_pairs(tuple(word)))
 
     @staticmethod
     def from_cycles(cycles) -> "FpfInvolution":
@@ -269,7 +272,7 @@ class FpfInvolution:
         return FpfInvolution(conj_word(self.oneline, i, j))
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, self(i)) for i in range(1, self.support + 1) if i < self(i))
+        return self.cycles_in_rank(self.support)
 
     def cycles_in_rank(self, n: int) -> tuple[tuple[int, int], ...]:
         """All 2-cycles (i, z(i)) with i < z(i) <= n, including base pairs

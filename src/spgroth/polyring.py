@@ -22,6 +22,15 @@ that stays clear on every stored key; an operation whose result would leave
 the range raises ExponentRangeError, a ValueError, and never wraps into a
 neighbouring field.
 
+Stored coefficients are never zero.  Sums, differences, every row of a
+product after the first, the product with 1 + beta*x_i and the in-place
+Z[beta]-multiples all keep this through one accumulation rule,
+_add_scaled: add a copy of one term dict, its keys moved by a shift and
+its coefficients scaled by a nonzero factor, into another, and delete each
+key whose coefficient cancels.  The divided difference and the isobaric
+pass write several terms per input term, so they sum first and drop the
+zeros once at the end.
+
 Tuples stay at the boundary: the constructor accepts {(beta_power,
 exponents): c}, and the queries return exponent tuples.  Both serialized
 forms, the canonical text and the JSON terms array, are written by one
@@ -35,7 +44,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import groupby
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator
 
@@ -58,8 +66,12 @@ class BetaInt:
         return BetaInt((0, 1))
 
     def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            object.__setattr__(self, "coeffs", _strip(self.coeffs))
+        coeffs = self.coeffs
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        if n < len(coeffs):
+            object.__setattr__(self, "coeffs", coeffs[:n])
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -72,7 +84,7 @@ class BetaInt:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return BetaInt(_strip(tuple(out)))
+        return BetaInt(tuple(out))
 
     __radd__ = __add__
 
@@ -92,7 +104,7 @@ class BetaInt:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return BetaInt(_strip(tuple(out)))
+        return BetaInt(tuple(out))
 
     __rmul__ = __mul__
 
@@ -117,13 +129,6 @@ class BetaInt:
 
     def __repr__(self) -> str:
         return f"BetaInt({self.bracket()})"
-
-
-def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
 
 
 # -- packed monomial keys ------------------------------------------------------
@@ -204,6 +209,20 @@ class _Layout:
 @cache
 def _layout(nvars: int) -> _Layout:
     return _Layout(nvars)
+
+
+def _add_scaled(out: dict[int, int], terms: dict[int, int], shift: int, factor: int) -> None:
+    """out += factor * terms in place, each key of terms moved by shift;
+    a key whose coefficient sums to zero is removed.  factor is nonzero,
+    so such a key was already in out.  The caller checks the range."""
+    get = out.get
+    for k, c in terms.items():
+        key = k + shift
+        s = get(key, 0) + c * factor
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
 TupleKey = tuple[int, tuple[int, ...]]  # (beta power, x exponents)
@@ -306,18 +325,17 @@ class MultiPoly:
         n = max(self.nvars, other.nvars)
         return self.embed(n), other.embed(n)
 
-    def __add__(self, other: "MultiPoly | BetaInt | int") -> "MultiPoly":
+    def _plus(self, other: "MultiPoly | BetaInt | int", factor: int) -> "MultiPoly":
+        """self + factor * other."""
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other, self.nvars)
         a, b = self._paired(other)
         out = dict(a.terms)
-        for key, c in b.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        _add_scaled(out, b.terms, 0, factor)
         return MultiPoly._raw(a.nvars, out)
+
+    def __add__(self, other: "MultiPoly | BetaInt | int") -> "MultiPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -325,12 +343,10 @@ class MultiPoly:
         return MultiPoly._raw(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly | BetaInt | int") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other, self.nvars)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
+        return MultiPoly.constant(other, self.nvars)._plus(self, -1)
 
     def __mul__(self, other: "MultiPoly | BetaInt | int") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -341,21 +357,13 @@ class MultiPoly:
         lay = _layout(a.nvars)
         zero = lay.zero
         out: dict[int, int] = {}
-        get = out.get
         for k2, c2 in b.terms.items():
             k2 -= zero
-            if not out:
+            if out:
+                _add_scaled(out, a.terms, k2, c2)
+            else:
                 # the first row of products has distinct keys
                 out = {k1 + k2: c1 * c2 for k1, c1 in a.terms.items()}
-                get = out.get
-                continue
-            for k1, c1 in a.terms.items():
-                key = k1 + k2
-                s = get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
         lay.check(out)
         return MultiPoly._raw(a.nvars, out)
 
@@ -402,7 +410,7 @@ class MultiPoly:
         out = [0] * (max(bp for bp, _ in pairs) + 1)
         for bp, c in pairs:
             out[bp] += c
-        return BetaInt(_strip(tuple(out)))
+        return BetaInt(tuple(out))
 
     def constant_term(self) -> BetaInt:
         return self.coefficient((0,) * self.nvars)
@@ -440,23 +448,14 @@ class MultiPoly:
 
     # -- canonical serialization --------------------------------------------
 
-    def canonical_terms(self) -> list[tuple[tuple[int, ...], BetaInt]]:
-        """Terms as (exponents, Z[beta]-coefficient), in the canonical order."""
-        exps = _layout(self.nvars).exps
-        out = []
-        for xk, keys in groupby(sorted(self.terms), key=lambda k: k >> FIELD_BITS):
-            coeffs = {k & _FIELD: self.terms[k] for k in keys}
-            out.append((exps(xk), BetaInt(tuple(coeffs.get(bp, 0)
-                                                for bp in range(max(coeffs) + 1)))))
-        return out
-
     def canonical_text(self) -> str:
-        """The canonical_terms() coefficients in bracket form with their
-        x-factors, joined by " + "; "0" for the zero polynomial."""
+        """The terms in the canonical order, each its Z[beta]-coefficient in
+        bracket form with its x-factors, joined by " + "; "0" for the zero
+        polynomial."""
         return _serialize(self, as_json=False) or "0"
 
     def canonical_json_terms(self) -> str:
-        """The canonical_terms() as the text of a JSON array of
+        """The terms in the canonical order as the text of a JSON array of
         {"beta": [...], "exps": [...]} objects, keys sorted, no spaces."""
         return "[" + _serialize(self, as_json=True) + "]"
 
@@ -621,14 +620,7 @@ def _times_one_plus_beta_x(i: int, f: MultiPoly) -> MultiPoly:
     lay = _layout(f.nvars)
     inc = (1 << lay.shift[i - 1]) + (1 << lay.top) + 1
     out = dict(f.terms)
-    get = out.get
-    for k, c in f.terms.items():
-        key = k + inc
-        s = get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+    _add_scaled(out, f.terms, inc, 1)
     lay.check(out)
     return MultiPoly._raw(f.nvars, out)
 
@@ -649,17 +641,9 @@ def _add_multiple(terms: dict[int, int], nvars: int, g: MultiPoly, c: BetaInt) -
     gterms = g.embed(nvars).terms
     # only the beta field moves, and the top power moves it furthest
     _layout(nvars).check(map(top.__add__, gterms))
-    get = terms.get
     for p, a in enumerate(c.coeffs):
-        if not a:
-            continue
-        for k, b in gterms.items():
-            key = k + p
-            s = get(key, 0) + a * b
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
+        if a:
+            _add_scaled(terms, gterms, p, a)
 
 
 def beta_divided_diff(i: int, f: MultiPoly) -> MultiPoly:

@@ -326,26 +326,6 @@ def gp_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
     return f
 
 
-def sp_grassmannian_formula(z: FpfInvolution) -> MultiPoly:
-    """Closed isobaric formula for the symplectic polynomial of a
-    Grassmannian-type involution, via its decoded (n, phi) data."""
-    decoded = is_fpf_grassmannian(z)
-    if decoded is None:
-        raise ValueError(f"{z!r} is not FPF-Grassmannian")
-    n, phis = decoded
-    if not phis:
-        return MultiPoly.one(1)
-    # a trailing phi = n contributes a zero shape part but a real operator row
-    lam = tuple(n - p for p in phis)
-    f = _gp_operand(lam, n)
-    for t in range(len(phis), 0, -1):
-        for i in range(t, phis[t - 1]):
-            f = isobaric(i, f)
-    if f.has_negative_exponents():
-        raise RuntimeError("isobaric image failed to be a polynomial")
-    return f
-
-
 # ---------------------------------------------------------------------------
 # triangular expansions into the shape-indexed bases
 # ---------------------------------------------------------------------------

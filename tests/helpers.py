@@ -40,7 +40,7 @@ from spgroth.polyring import (
     oplus,
     truncate,
 )
-from spgroth.stable import Window, _fillings
+from spgroth.stable import Window, _fillings, _gp_operand
 
 
 def oracle_inversions(word) -> int:
@@ -223,6 +223,26 @@ def gp_sp_stabilized(z: FpfInvolution, win: Window) -> MultiPoly:
                 raise RuntimeError("window agreement was not stable")
             return values[-1]
     raise RuntimeError(f"no window stabilization within {max_extra} steps")
+
+
+def sp_grassmannian_formula(z: FpfInvolution) -> MultiPoly:
+    """The paper's closed isobaric formula for the symplectic polynomial of
+    an FPF-Grassmannian involution, via its decoded (n, phi) data."""
+    decoded = is_fpf_grassmannian(z)
+    if decoded is None:
+        raise ValueError(f"{z!r} is not FPF-Grassmannian")
+    n, phis = decoded
+    if not phis:
+        return MultiPoly.one(1)
+    # a trailing phi = n contributes a zero shape part but a real operator row
+    lam = tuple(n - p for p in phis)
+    f = _gp_operand(lam, n)
+    for t in range(len(phis), 0, -1):
+        for i in range(t, phis[t - 1]):
+            f = isobaric(i, f)
+    if f.has_negative_exponents():
+        raise RuntimeError("isobaric image failed to be a polynomial")
+    return f
 
 
 # -- ordinary set-valued tableaux ---------------------------------------------

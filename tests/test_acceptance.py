@@ -46,7 +46,6 @@ from spgroth.stable import (
     gp_partition,
     gp_sp,
     gp_via_pi_formula,
-    sp_grassmannian_formula,
     stable_groth_perm,
     verify_f_grass,
 )
@@ -60,6 +59,7 @@ from helpers import (
     oracle_stable_groth_partition,
     poly_from_beta_terms,
     random_beta_poly,
+    sp_grassmannian_formula,
     symmetrize_block,
 )
 

@@ -363,6 +363,9 @@ PINNED_ERRORS = [
      "error: need v(-1) = 0 with j < k\n"),
     ("expand sp-groth 4321 --basis G", "error: input is not symmetric at the window\n"),
     ("verify lenart-transition 13452 --k 0", "error: need k >= 1, got 0\n"),
+    ("verify sp-transition 351624 --j 1 --k 3 --offset 1",
+     "error: sp-transition does not take --offset\n"),
+    ("verify beta-rescale 321 --k 2", "error: beta-rescale does not take --k\n"),
     ("compute G 16383 --nvars 2 --maxdeg 16383",
      "error: exponent or beta power outside the packed range "
      "(exponents -16384..16383, beta powers 0..32767)\n"),

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as stgs
+from hypothesis import Phase, example, find, given, settings, strategies as stgs
 
 from spgroth.coxeter import (
     FpfInvolution,
@@ -56,6 +56,21 @@ from helpers import (
 
 X = MultiPoly.x
 BETA = BetaInt.beta()
+
+
+def range_text(what: str) -> str:
+    return f"{what} outside the packed range (exponents -16384..16383, beta powers 0..32767)"
+
+
+# the text of every range error raised by a check of an operation's keys
+RANGE_TEXT = range_text("exponent or beta power")
+
+
+def range_error(call, *args) -> str:
+    """The text of the ExponentRangeError that call(*args) raises."""
+    with pytest.raises(ExponentRangeError) as info:
+        call(*args)
+    return str(info.value)
 
 
 def poly_strategy(nvars=3, laurent=False):
@@ -353,8 +368,8 @@ class TestPackedKernelAgainstReference:
         assert ref_terms(f) == {k: c for k, c in terms.items() if c}
         assert f.nvars == n
 
-    @given(sized_terms(), sized_terms())
-    def test_ring_operations(self, left, right):
+    @given(sized_terms(), sized_terms(), stgs.integers(-2, 2))
+    def test_ring_operations(self, left, right, m):
         (n1, a), (n2, b) = left, right
         f, g = MultiPoly(n1, a), MultiPoly(n2, b)
         n = max(n1, n2)
@@ -365,6 +380,17 @@ class TestPackedKernelAgainstReference:
             assert got.nvars == n
             assert ref_terms(got) == want
         assert (f == g) == (a == b)
+        # full cancellation between operands in different nvars, and an int
+        # minus a polynomial (through __rsub__)
+        wide = f.embed(n1 + 1)
+        w = ref_terms(wide)
+        minus_w = {k: -c for k, c in w.items()}
+        constant = {(0, (0,) * (n1 + 1)): m} if m else {}
+        for got, want in ((f - wide, ref_add(w, minus_w)), (wide - f, ref_add(w, minus_w)),
+                          (f + (-wide), ref_add(w, minus_w)),
+                          (m - wide, ref_add(constant, minus_w))):
+            assert got.nvars == n1 + 1
+            assert ref_terms(got) == want
 
     @given(sized_terms())
     def test_embed_and_restrict(self, sized):
@@ -400,6 +426,8 @@ class TestPackedKernelAgainstReference:
         assert g.restrict(1) == MultiPoly(1, {(2, (-3,)): 4})
 
     @given(sized_terms())
+    # (1 + beta*x_2) * (x_1^2 - beta*x_1^2 x_2) cancels its beta*x_1^2 x_2
+    @example((2, {(0, (2, 0)): 1, (1, (2, 1)): -1}))
     def test_operators(self, sized):
         n, terms = sized
         f = MultiPoly(n + 1, ref_embed(terms, n + 1))
@@ -442,11 +470,12 @@ class TestPackedKernelAgainstReference:
             c = BetaInt(tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 3))))
             check(f, g, c)
         g = random_beta_poly(rng, nvars=2)
-        c = BetaInt((3, 0, -1))
-        assert c.coeffs[1] == 0
-        check(MultiPoly.one(3), g, c)
-        # full cancellation leaves the empty dict
-        assert check(g * c, g, -c) == {}
+        # zero middle coefficients, each also cancelling its own multiple
+        for c in (BetaInt((3, 0, -1)), BetaInt((2, 0, 0, -1)), BetaInt((0, 0, 5))):
+            assert not c.coeffs[1]
+            check(MultiPoly.one(3), g, c)
+            check(g * BETA, g, c)
+            assert check(g * c, g, -c) == {}
         assert check(g.embed(4) * BETA, g, -BETA) == {}
 
     def test_add_multiple_range(self):
@@ -455,16 +484,16 @@ class TestPackedKernelAgainstReference:
         _add_multiple(terms, 2, g, BETA)
         assert MultiPoly._raw(2, terms) == g * BETA
         # nothing is written when the range check fails
-        for c in (BETA ** 2, BetaInt((1, 0, 1)), BETA ** (BETA_MAX + 2)):
+        for c, text in ((BETA ** 2, RANGE_TEXT), (BetaInt((1, 0, 1)), RANGE_TEXT),
+                        (BETA ** (BETA_MAX + 2), range_text(f"beta power {BETA_MAX + 2}"))):
             terms = dict(g.terms)
-            with pytest.raises(ExponentRangeError):
-                _add_multiple(terms, 2, g, c)
+            assert range_error(_add_multiple, terms, 2, g, c) == text
             assert terms == g.terms
         # a power above BETA_MAX raises even on beta power 0, where the
         # beta field would wrap into x_2 instead of reaching its guard bit
         for top in (BETA_MAX + 1, 2 * BETA_MAX + 2):
-            with pytest.raises(ExponentRangeError):
-                _add_multiple({}, 2, MultiPoly.one(2), BETA ** top)
+            assert range_error(_add_multiple, {}, 2, MultiPoly.one(2), BETA ** top) == \
+                range_text(f"beta power {top}")
 
     @given(sized_terms())
     def test_truncate_and_queries(self, sized):
@@ -491,6 +520,8 @@ class TestPackedKernelAgainstReference:
             assert f.coefficient(exps) == BetaInt(tuple(coeffs))
 
     @given(sized_terms(), stgs.integers(1, 6))
+    # (1 + beta*x_1) * (x_1 - beta*x_1^2) cancels its beta*x_1^2
+    @example((2, {(0, (1, 0)): 1, (1, (2, 0)): -1}), 1)
     def test_times_one_plus_beta_x(self, sized, i):
         # i may exceed nvars: the product embeds f into x_1..x_i first
         n, terms = sized
@@ -587,14 +618,17 @@ class TestPackedRange:
 
         exps = [1, 2, 3]
         if field == 0:
-            f, step = poly(BETA_MAX, tuple(exps)), MultiPoly.beta(3)
+            bp, step = BETA_MAX, MultiPoly.beta(3)
         else:
             exps[field - 1] = EXP_MAX
-            f, step = poly(1, tuple(exps)), MultiPoly.x(field, 3)
-        with pytest.raises(ExponentRangeError):
-            f * step
-        with pytest.raises(ExponentRangeError):
-            step * f
+            bp, step = 1, MultiPoly.x(field, 3)
+        f = poly(bp, tuple(exps))
+        assert range_error(lambda: f * step) == RANGE_TEXT
+        assert range_error(lambda: step * f) == RANGE_TEXT
+        # the product with 1 + beta*x_i raises x_i and the beta power, and
+        # a multiple by a power of beta raises only the beta power
+        assert range_error(_times_one_plus_beta_x, max(field, 1), f) == RANGE_TEXT
+        assert range_error(_add_multiple, {}, 3, f, BETA ** (BETA_MAX - bp + 1)) == RANGE_TEXT
         if field:
             low = list(exps)
             low[field - 1] = EXP_MIN
@@ -655,8 +689,8 @@ class TestSerialization:
     def test_json_matches_term_route(self, sized):
         f = MultiPoly(*sized)
         assert f.canonical_json_terms() == oracle_json_text(f)
-        assert [(e, c.coeffs) for e, c in f.canonical_terms()] == \
-            [(tuple(t["exps"]), tuple(t["beta"])) for t in oracle_json_obj(f)]
+        for t in oracle_json_obj(f):
+            assert f.coefficient(t["exps"]).coeffs == tuple(t["beta"])
 
     def test_json_round_stability(self):
         f = oplus(X(1, 3), X(2, 3)) * X(3, 3)

@@ -38,7 +38,6 @@ from spgroth.stable import (
     gp_sp_positive_recurrence,
     gp_via_pi_formula,
     shifted_set_valued_tableaux,
-    sp_grassmannian_formula,
     stable_groth_partition,
     stable_groth_perm,
     verify_f_grass,
@@ -60,6 +59,7 @@ from helpers import (
     oracle_stable_groth_partition,
     oracle_tableaux,
     poly_from_beta_terms,
+    sp_grassmannian_formula,
 )
 
 X = MultiPoly.x
