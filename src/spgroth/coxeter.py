@@ -486,27 +486,25 @@ def transpose_partition(parts) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
 
 
-def partitions_of(n: int, max_part: int | None = None):
-    """Partitions of n in descending lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    if max_part is None:
-        max_part = n
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+def partitions_of(n: int, max_parts: int | None = None, strict: bool = False):
+    """Partitions of n with at most max_parts parts (all of them by
+    default), with distinct parts when strict, in descending lexicographic
+    order.  A branch stops as soon as the parts left cannot hold the rest
+    of n."""
 
+    def fill(rest: int, largest: int, count: int):
+        if not rest:
+            yield ()
+            return
+        for first in range(min(rest, largest), 0, -1):
+            # the most that count parts of at most first can hold
+            k = min(count, first) if strict else count
+            if k * first - strict * (k * (k - 1) // 2) < rest:
+                return
+            for tail in fill(rest - first, first - strict, count - 1):
+                yield (first,) + tail
 
-def strict_partitions_of(n: int, max_part: int | None = None):
-    if n == 0:
-        yield ()
-        return
-    if max_part is None:
-        max_part = n
-    for first in range(min(n, max_part), 0, -1):
-        for rest in strict_partitions_of(n - first, first - 1):
-            yield (first,) + rest
+    yield from fill(n, n, n if max_parts is None else max_parts)
 
 
 def format_word(word) -> str:

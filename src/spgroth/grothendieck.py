@@ -246,10 +246,9 @@ def _expand_groth(f: MultiPoly, max_deg: int, censor: bool):
                 break
             raise ExpansionDegreeError(
                 f"expansion exceeded max_deg={max_deg} (bottom degree {d})", rem)
-        for w, c in _extract_schubert_level(rem.bottom()).items():
-            if not c:
-                continue
-            found[w] = found.get(w, BetaInt()) + c
+        # each pivot w has level d = length(w), so none comes back
+        for w, c in _extract_schubert_level(rem.degree_part(d)).items():
+            found[w] = c
             g = grothendieck(w)
             if g.nvars > rem.nvars:
                 rem = rem.embed(g.nvars)

@@ -59,6 +59,8 @@ class BetaInt:
     def of(value: "BetaInt | int") -> "BetaInt":
         if isinstance(value, BetaInt):
             return value
+        if not isinstance(value, int):
+            raise TypeError(f"not a polynomial in beta: {value!r}")
         return BetaInt((value,)) if value else BetaInt()
 
     @staticmethod
@@ -76,9 +78,12 @@ class BetaInt:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
+    # any other operand gets NotImplemented, so Python tries its reflected
+    # operation (a MultiPoly then takes self as a constant)
     def __add__(self, other: "BetaInt | int") -> "BetaInt":
-        other = BetaInt.of(other)
-        a, b = self.coeffs, other.coeffs
+        if not isinstance(other, (BetaInt, int)):
+            return NotImplemented
+        a, b = self.coeffs, BetaInt.of(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -92,9 +97,16 @@ class BetaInt:
         return BetaInt(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "BetaInt | int") -> "BetaInt":
+        if not isinstance(other, (BetaInt, int)):
+            return NotImplemented
         return self + (-BetaInt.of(other))
 
+    def __rsub__(self, other: int) -> "BetaInt":
+        return (-self).__add__(other)
+
     def __mul__(self, other: "BetaInt | int") -> "BetaInt":
+        if not isinstance(other, (BetaInt, int)):
+            return NotImplemented
         other = BetaInt.of(other)
         if not self.coeffs or not other.coeffs:
             return BetaInt()

@@ -36,8 +36,6 @@ from .coxeter import (
     partitions_of,
     reduced_word,
     sp_shape,
-    strict_partitions_of,
-    transpose_partition,
 )
 from .grothendieck import (
     Expansion,
@@ -331,49 +329,40 @@ def gp_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _triangular_expand(f: MultiPoly, win: Window, shapes_of, basis_at_window):
-    """Shared elimination over the shapes that fit the window, shapes_of(size)
-    listing those of one size with at most nvars parts: by increasing size,
-    then descending lexicographic (a linear extension of dominance, most
-    dominant first); the pivot is the coefficient of the shape monomial
-    itself."""
+def _triangular_expand(f: MultiPoly, win: Window, strict: bool, basis) -> Expansion:
+    """Expand a window-symmetric polynomial over the shapes that fit the
+    window: the partitions (strict ones when strict) of size at most maxdeg
+    with at most nvars parts.  partitions_of lists them by increasing size,
+    then in descending lexicographic order (a linear extension of
+    dominance, most dominant first); the pivot is the coefficient of the
+    shape monomial itself, and basis(lam, win) the basis element."""
+    if not symmetrize_check(f, win.nvars, win.maxdeg):
+        raise ValueError("input is not symmetric at the window")
     rem = win.clip(f)
     found = []
     for size in range(win.maxdeg + 1):
-        for lam in shapes_of(size):
+        for lam in partitions_of(size, win.nvars, strict):
             c = rem.coefficient(lam)
             if c:
                 found.append((lam, c))
-                rem = win.clip(rem - basis_at_window(lam) * c)
+                rem = win.clip(rem - basis(lam, win) * c)
     if rem:
         raise ValueError(
             "nonzero in-window remainder: input is not in the basis span at "
             f"this window (left: {rem.canonical_text()})")
-    return tuple(found)
+    return Expansion(tuple(found))
 
 
 def expand_in_G_basis(f: MultiPoly, win: Window) -> Expansion:
     """Expand a window-symmetric polynomial over partition shapes.  Exact
-    for shapes of size <= maxdeg with at most nvars rows, which are listed
-    as the transposes of the partitions with parts at most nvars."""
-    if not symmetrize_check(f, win.nvars, win.maxdeg):
-        raise ValueError("input is not symmetric at the window")
-    terms = _triangular_expand(
-        f, win, lambda size: sorted(map(transpose_partition, partitions_of(size, win.nvars)),
-                                    reverse=True),
-        lambda lam: stable_groth_partition(lam, win))
-    return Expansion(terms)
+    for shapes of size <= maxdeg with at most nvars rows."""
+    return _triangular_expand(f, win, False, stable_groth_partition)
 
 
 def expand_in_GP_basis(f: MultiPoly, win: Window) -> Expansion:
     """Expand a window-symmetric polynomial over strict shapes.  Exact for
     shapes of size <= maxdeg with at most nvars parts."""
-    if not symmetrize_check(f, win.nvars, win.maxdeg):
-        raise ValueError("input is not symmetric at the window")
-    terms = _triangular_expand(
-        f, win, lambda size: [lam for lam in strict_partitions_of(size) if len(lam) <= win.nvars],
-        lambda lam: gp_partition(lam, win))
-    return Expansion(terms)
+    return _triangular_expand(f, win, True, gp_partition)
 
 
 # ---------------------------------------------------------------------------

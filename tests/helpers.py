@@ -245,6 +245,39 @@ def sp_grassmannian_formula(z: FpfInvolution) -> MultiPoly:
     return f
 
 
+# -- partitions ----------------------------------------------------------------
+#
+# The two enumerators that partitions_of replaced.  Each bounds the largest
+# part, not the number of parts, so the shape expansions had to transpose
+# (G) or filter (GP) what they listed.
+
+
+def oracle_partitions_of(n: int, max_part: int | None = None):
+    """Partitions of n with parts at most max_part, in descending
+    lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None:
+        max_part = n
+    for first in range(min(n, max_part), 0, -1):
+        for rest in oracle_partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def oracle_strict_partitions_of(n: int, max_part: int | None = None):
+    """Strict partitions of n with parts at most max_part, in descending
+    lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None:
+        max_part = n
+    for first in range(min(n, max_part), 0, -1):
+        for rest in oracle_strict_partitions_of(n - first, first - 1):
+            yield (first,) + rest
+
+
 # -- ordinary set-valued tableaux ---------------------------------------------
 #
 # The shape series G_lam by Buch's set-valued tableaux (Acta Math. 2002).

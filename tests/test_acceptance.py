@@ -17,7 +17,6 @@ from spgroth.coxeter import (
     partitions_of,
     reduced_word,
     shift_perm,
-    strict_partitions_of,
 )
 from spgroth.grothendieck import (
     grothendieck,
@@ -152,7 +151,7 @@ def test_criterion_07_positivity():
         e = expand_in_GP_basis(gp_sp(z, WINDOW), WINDOW)
         assert e.is_beta_positive(), z
     for size in range(5):
-        for lam in strict_partitions_of(size):
+        for lam in partitions_of(size, strict=True):
             e = expand_in_G_basis(gp_partition(lam, WINDOW), WINDOW)
             assert e.is_beta_positive(), lam
     assert time.time() - t0 < 600
@@ -248,7 +247,7 @@ def test_criterion_10_dual_routes():
         if is_fpf_grassmannian(z) is not None:
             assert sp_grassmannian_formula(z) == sp_grothendieck(z), z
     for size in range(1, 5):
-        for lam in strict_partitions_of(size):
+        for lam in partitions_of(size, strict=True):
             for n in range(max(1, len(lam)), 5):
                 f = gp_via_pi_formula(lam, n)
                 d = max(f.total_degree(), 1)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -382,3 +385,23 @@ class TestPinnedErrors:
     @pytest.mark.parametrize("command,stderr", PINNED_ERRORS)
     def test_exit_3(self, capsys, command, stderr):
         assert run(capsys, *command.split()) == (3, "", stderr)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the `spgroth ...` lines in README's sh blocks,
+    comments stripped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [shlex.split(line, comments=True)[1:]
+            for block in blocks for line in block.splitlines() if line.startswith("spgroth ")]
+
+
+class TestReadme:
+    def test_examples_exit_0(self, capsys):
+        commands = readme_commands()
+        assert commands
+        for argv in commands:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)

@@ -17,6 +17,7 @@ from spgroth.coxeter import (
     is_fpf_grassmannian,
     parse_fpf,
     parse_permutation,
+    partitions_of,
     perm_length,
     reduced_word,
     shift_fpf,
@@ -38,6 +39,8 @@ from helpers import (
     oracle_inversions,
     oracle_lex_least_reduced_word,
     oracle_min_conjugating_length,
+    oracle_partitions_of,
+    oracle_strict_partitions_of,
     permutation_from_word,
 )
 
@@ -313,6 +316,37 @@ class TestDiagramCodeShape:
     def test_transpose(self):
         assert transpose_partition((2, 2, 1)) == (3, 2)
         assert transpose_partition(()) == ()
+
+
+class TestPartitions:
+    """partitions_of against the two enumerators it replaced, which bound
+    the largest part instead of the number of parts."""
+
+    def test_unbounded_equals_oracles(self):
+        for n in range(30):
+            assert list(partitions_of(n)) == list(oracle_partitions_of(n)), n
+            assert list(partitions_of(n, strict=True)) == list(oracle_strict_partitions_of(n)), n
+
+    def test_bounded_equals_the_old_shape_lists(self):
+        # the G expansion listed the transposes of the partitions with parts
+        # at most nvars, re-sorted; the GP expansion filtered strict ones
+        for nvars in range(1, 8):
+            for n in range(25):
+                old_g = sorted(map(transpose_partition, oracle_partitions_of(n, nvars)),
+                               reverse=True)
+                old_gp = [lam for lam in oracle_strict_partitions_of(n) if len(lam) <= nvars]
+                assert list(partitions_of(n, nvars)) == old_g, (n, nvars)
+                assert list(partitions_of(n, nvars, strict=True)) == old_gp, (n, nvars)
+
+    def test_edge_cases(self):
+        assert list(partitions_of(0)) == [()]
+        assert list(partitions_of(0, 0, strict=True)) == [()]
+        assert list(partitions_of(3, 0)) == []
+        assert list(partitions_of(6, 2, strict=True)) == [(6,), (5, 1), (4, 2)]
+        assert list(partitions_of(3, strict=True)) == [(3,), (2, 1)]
+        # two parts up to size 100, without walking the strict partitions
+        # with more parts
+        assert sum(1 for n in range(101) for _ in partitions_of(n, 2, strict=True)) == 2551
 
 
 class TestDearcAndGrassmannian:

@@ -154,6 +154,25 @@ class TestBetaInt:
         assert BetaInt((0, 3)).is_nonnegative()
         assert not BetaInt((1, -1)).is_nonnegative()
 
+    def test_int_operands(self):
+        assert 1 - BETA == BetaInt((1, -1))
+        assert BETA - 1 == BetaInt((-1, 1))
+        assert 2 + BETA == BETA + 2 == BetaInt((2, 1))
+        assert 3 * BETA == BETA * 3 == BetaInt((0, 3))
+
+    def test_polynomial_operand_is_not_a_coefficient(self):
+        # a MultiPoly on either side takes the BetaInt as a constant
+        assert repr(BETA - X(1, 2)) == "MultiPoly(2, '[0,1] + [-1] * x1')"
+        assert repr(BETA + X(1, 2)) == "MultiPoly(2, '[0,1] + [1] * x1')"
+        assert repr(BETA * X(1, 2)) == "MultiPoly(2, '[0,1] * x1')"
+        assert repr(X(1, 2) - BETA) == "MultiPoly(2, '[0,-1] + [1] * x1')"
+        with pytest.raises(TypeError):
+            BetaInt.of(X(1))
+        with pytest.raises(TypeError):
+            BETA - "x"
+        with pytest.raises(TypeError):
+            "x" - BETA
+
 
 class TestRingOps:
     def test_cancellation(self):

@@ -14,7 +14,6 @@ from spgroth.coxeter import (
     parse_permutation,
     shift_fpf,
     shift_perm,
-    strict_partitions_of,
 )
 import spgroth.stable as stable
 from spgroth.grothendieck import _transposition_products, grothendieck, sp_grothendieck
@@ -215,7 +214,7 @@ class TestFillingsAgainstOracle:
 
     def test_shifted(self):
         for size in range(7):
-            for shape in strict_partitions_of(size):
+            for shape in partitions_of(size, strict=True):
                 cells = _shifted_rows(shape)
                 for nvars in (1, 2, 3):
                     self._check(cells, [tuple(m for m in range(1, 2 * nvars + 1)
@@ -326,7 +325,7 @@ class TestGPPartition:
     def test_equals_oracle(self):
         for win in (Window(3, 8), Window(4, 9)):
             for size in range(9):
-                for lam in strict_partitions_of(size):
+                for lam in partitions_of(size, strict=True):
                     got = gp_partition(lam, win)
                     want = oracle_gp_partition(lam, win)
                     assert got.nvars == want.nvars == win.nvars, (lam, win)
@@ -462,6 +461,20 @@ class TestSpGrassmannianFormula:
             sp_grassmannian_formula(FpfInvolution.top(6))
 
 
+def record_listed_shapes(monkeypatch) -> list:
+    """The list that the shape expansions' partitions_of calls append each
+    yielded shape to."""
+    listed = []
+
+    def counting(*args, **kwargs):
+        for lam in partitions_of(*args, **kwargs):
+            listed.append(lam)
+            yield lam
+
+    monkeypatch.setattr(stable, "partitions_of", counting)
+    return listed
+
+
 class TestExpandG:
     def test_round_trip(self):
         win = Window(4, 6)
@@ -487,14 +500,7 @@ class TestExpandG:
     def test_enumerates_only_fitting_shapes(self, monkeypatch):
         # at two variables only the shapes with at most two rows fit, one
         # per pair of row lengths; the other partitions are never listed
-        listed = []
-
-        def counting(*args):
-            for lam in partitions_of(*args):
-                listed.append(lam)
-                yield lam
-
-        monkeypatch.setattr(stable, "partitions_of", counting)
+        listed = record_listed_shapes(monkeypatch)
         win = Window(2, 30)
         e = expand_in_G_basis(stable_groth_partition((1,), win), win)
         assert e.as_dict() == {(1,): BetaInt.of(1)}
@@ -516,6 +522,15 @@ class TestExpandGP:
         win = Window(4, 6)
         e = expand_in_GP_basis(gp_partition((3, 1), win), win)
         assert e.as_dict() == {(3, 1): BetaInt.of(1)}
+
+    def test_enumerates_only_fitting_shapes(self, monkeypatch):
+        # at two variables a strict shape fits with one part, or with two
+        # distinct parts: 1 + (size - 1) // 2 shapes of each size >= 1
+        listed = record_listed_shapes(monkeypatch)
+        win = Window(2, 85)
+        e = expand_in_GP_basis(gp_partition((1,), win), win)
+        assert e.as_dict() == {(1,): BetaInt.of(1)}
+        assert len(listed) == 1 + sum(1 + (size - 1) // 2 for size in range(1, 86))
 
     def test_gp_sp_positive(self):
         win = Window(3, 4)
