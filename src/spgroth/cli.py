@@ -31,17 +31,8 @@ SCHEMA_VERSION = 1
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _parse_error(msg: str) -> CliError:
-    return CliError(msg, 2)
-
-
-def _precondition_error(msg: str) -> CliError:
-    return CliError(msg, 3)
+    """An element text that does not parse (exit 2); a precondition
+    violation is a ValueError (exit 3)."""
 
 
 def _window(args) -> st.Window:
@@ -61,7 +52,7 @@ def _parse(kind: str, text: str):
     try:
         return PARSERS[kind](text)
     except ValueError as exc:
-        raise _parse_error(f"cannot parse {kind} element {text!r}: {exc}") from exc
+        raise CliError(f"cannot parse {kind} element {text!r}: {exc}") from exc
 
 
 def _emit_poly(f: MultiPoly, args, meta: dict) -> None:
@@ -76,18 +67,15 @@ def _emit_poly(f: MultiPoly, args, meta: dict) -> None:
         print(f.canonical_text())
 
 
-def _expansion_rows(terms, fmt_element) -> list[dict]:
-    return [{"element": fmt_element(el), "coef": list(c.coeffs)} for el, c in terms]
-
-
-def _emit_expansion(rows: list[dict], args, meta: dict) -> None:
+def _emit_expansion(rows, args, meta: dict) -> None:
+    """Print (element text, BetaInt coefficient) rows."""
     if args.format == "json":
-        obj = {"schema_version": SCHEMA_VERSION, **meta, "terms": rows}
+        terms = [{"element": el, "coef": list(c.coeffs)} for el, c in rows]
+        obj = {"schema_version": SCHEMA_VERSION, **meta, "terms": terms}
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
-        for row in rows:
-            coef = "[" + ",".join(str(c) for c in (row["coef"] or [0])) + "]"
-            print(f"{row['element']}: {coef}")
+        for el, c in rows:
+            print(f"{el}: {c.bracket()}")
 
 
 # object -> (element kind, default expansion basis, builder from the parsed
@@ -123,15 +111,15 @@ def cmd_expand(args) -> int:
             "window": {"nvars": win.nvars, "maxdeg": win.maxdeg}}
     if basis == "groth":
         exp = expand_in_grothendieck_basis(f, args.max_expansion_degree)
-        rows = _expansion_rows(exp.terms, lambda w: cx.format_word(w.oneline))
-    elif basis == "G":
-        exp = st.expand_in_G_basis(f, win)
-        rows = _expansion_rows(exp.terms, cx.format_partition)
-        meta["censored_beyond"] = {"size": win.maxdeg, "rows": win.nvars}
+        rows = [(cx.format_word(w.oneline), c) for w, c in exp.terms]
     else:
-        exp = st.expand_in_GP_basis(f, win)
-        rows = _expansion_rows(exp.terms, cx.format_partition)
-        meta["censored_beyond"] = {"size": win.maxdeg, "parts": win.nvars}
+        if basis == "G":
+            exp = st.expand_in_G_basis(f, win)
+            meta["censored_beyond"] = {"size": win.maxdeg, "rows": win.nvars}
+        else:
+            exp = st.expand_in_GP_basis(f, win)
+            meta["censored_beyond"] = {"size": win.maxdeg, "parts": win.nvars}
+        rows = [(cx.format_partition(lam), c) for lam, c in exp.terms]
     _emit_expansion(rows, args, meta)
     return 0
 
@@ -180,13 +168,13 @@ def cmd_verify(args) -> int:
     win = _window(args)
     kind, needs, _ = IDENTITIES[args.identity]
     if any(getattr(args, name) is None for name in needs):
-        raise _precondition_error(
+        raise ValueError(
             f"{args.identity} needs " + " and ".join(f"--{name}" for name in needs))
     takes = needs + ("offset",) if kind == "shifted" else needs
     unread = [name for name in ("j", "k", "offset")
               if getattr(args, name) is not None and name not in takes]
     if unread:
-        raise _precondition_error(
+        raise ValueError(
             f"{args.identity} does not take " + " and ".join(f"--{name}" for name in unread))
     element = _parse("fpf" if kind == "shifted" else kind, args.element)
     if kind == "shifted":
@@ -208,8 +196,10 @@ def cmd_verify(args) -> int:
 def _sweep_cases(identity: str, rank: int):
     """Yield (label, element, j, k) per case of the identity at the rank:
     every element of its kind that the sweep visits, with every index
-    value it needs (k up to rank + 1, or each 2-cycle (j, k) inside the
-    rank, the shifted kind at offsets 0 and 2)."""
+    value it needs (k up to rank + 1, or each 2-cycle (a, b) inside the
+    rank).  The shifted kind reads each involution on Z at offsets 0 and 2,
+    the 2-cycle then at (a - offset, b - offset), exactly as verify reads
+    it at that --offset."""
     kind, needs, visits = IDENTITIES[identity]
     elements = cx.all_permutations(rank) if kind == "perm" else cx.all_fpf_involutions(rank)
     for el in elements:
@@ -226,16 +216,17 @@ def _sweep_cases(identity: str, rank: int):
                 yield f"{word} (j,k)=({a},{b})", el, a, b
         else:
             for a, b in el.cycles_in_rank(rank):
-                for half_offset in (0, 1):
-                    v = cx.ShiftedFpfInvolution(cx.shift_fpf(half_offset, el), 2 * half_offset)
-                    yield f"{word} (j,k)=({a},{b}) off={2 * half_offset}", v, a, b
+                for off in (0, 2):
+                    j, k = a - off, b - off
+                    yield (f"{word} (j,k)=({j},{k}) off={off}",
+                           cx.ShiftedFpfInvolution(el, off), j, k)
 
 
 def cmd_sweep(args) -> int:
     if args.rank < 1:
-        raise _precondition_error(f"--rank must be positive, got {args.rank}")
+        raise ValueError(f"--rank must be positive, got {args.rank}")
     if IDENTITIES[args.identity][0] != "perm" and args.rank % 2:
-        raise _precondition_error("this identity sweeps involutions: --rank must be even")
+        raise ValueError("this identity sweeps involutions: --rank must be even")
     win = _window(args)
     failures, total = [], 0
     for label, element, j, k in _sweep_cases(args.identity, args.rank):
@@ -309,7 +300,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -375,10 +375,8 @@ def is_fpf_grassmannian(z: FpfInvolution):
     r = len(arcs)
     if seconds != tuple(n + t for t in range(1, r + 1)):
         return None
-    if not all(firsts[t] < firsts[t + 1] for t in range(r - 1)):
-        return None
-    if firsts[-1] > n or firsts[0] < 1:
-        return None
+    # dearc lists arcs by increasing first point, and a first above n would
+    # sit among the seconds n+1..n+r, so phi is increasing inside [1, n]
     return (n, firsts)
 
 
@@ -421,15 +419,25 @@ def all_fpf_involutions(n: int):
 class ShiftedFpfInvolution:
     """A Z-indexed fpf involution written as a positive-support involution
     shifted left by an even offset: value(i) = base(i + offset) - offset,
-    acting as i -> i - (-1)^i far below the support.  Transition machinery
-    runs on the positive representatives given by with_headroom."""
+    acting as i -> i - (-1)^i far below the support.  The stored
+    representative is the one of least offset: leading base pairs (2, 1)
+    are stripped while the offset is at least 2, and the base involution
+    theta has offset 0, so equal involutions on Z compare and hash equal.
+    Transition machinery runs on the positive representatives given by
+    with_headroom."""
 
     base: FpfInvolution
     offset: int = 0
 
     def __post_init__(self):
-        if self.offset % 2 or self.offset < 0:
+        base, off = self.base, self.offset
+        if off % 2 or off < 0:
             raise ValueError("offset must be even and nonnegative")
+        while off >= 2 and base.oneline[:2] == (2, 1):
+            base = FpfInvolution.from_oneline(v - 2 for v in base.oneline[2:])
+            off -= 2
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "offset", off if base.oneline else 0)
 
     def value(self, i: int) -> int:
         return self.base(i + self.offset) - self.offset
@@ -446,15 +454,6 @@ class ShiftedFpfInvolution:
             extra += extra % 2
             d += extra
         return shift_fpf((d - self.offset) // 2, self.base), d
-
-    def normalized(self) -> "ShiftedFpfInvolution":
-        """The representative of least offset; the base involution theta
-        has offset 0."""
-        base, off = self.base, self.offset
-        while off >= 2 and base.oneline[:2] == (2, 1):
-            base = FpfInvolution.from_oneline(v - 2 for v in base.oneline[2:])
-            off -= 2
-        return ShiftedFpfInvolution(base, off if base.oneline else 0)
 
     def __repr__(self) -> str:
         return f"ShiftedFpfInvolution({self.base!r}, offset={self.offset})"

@@ -345,7 +345,8 @@ def _triangular_expand(f: MultiPoly, win: Window, strict: bool, basis) -> Expans
             c = rem.coefficient(lam)
             if c:
                 found.append((lam, c))
-                rem = win.clip(rem - basis(lam, win) * c)
+                # rem and every basis element are window values already
+                rem = rem - basis(lam, win) * c
     if rem:
         raise ValueError(
             "nonzero in-window remainder: input is not in the basis span at "
@@ -378,21 +379,16 @@ def verify_f_grass(z: FpfInvolution, win: Window) -> bool:
     return gp_sp(z, win) == gp_partition(sp_shape(z), win)
 
 
-def _gp_of_shifted(z: ShiftedFpfInvolution, win: Window) -> MultiPoly:
-    # the stable series is invariant under the even shift, so the smallest
-    # positive representative stands in for the Z-indexed involution
-    return gp_sp(z.normalized().base, win)
-
-
 def _gp_combination(terms: dict, win: Window) -> MultiPoly:
     """Window value of the sum of c * (series of y) over {y: c}; the terms
-    are window values already."""
-    return _combination(lambda y: _gp_of_shifted(y, win), terms, win.nvars)
+    are window values already.  The stable series is invariant under the
+    even shift, so the series of the base stands in for each y."""
+    return _combination(lambda y: gp_sp(y.base, win), terms, win.nvars)
 
 
 def _unframe(terms: dict, d: int) -> dict:
     """Read {u: c} over a frame of offset d as Z-indexed involutions."""
-    return {ShiftedFpfInvolution(u, d).normalized(): c for u, c in terms.items()}
+    return {ShiftedFpfInvolution(u, d): c for u, c in terms.items()}
 
 
 def verify_stable_sp_transition(v: ShiftedFpfInvolution, j: int, k: int, win: Window) -> bool:
@@ -444,7 +440,8 @@ def gp_sp_positive_recurrence(z: ShiftedFpfInvolution | FpfInvolution,
     terms = _transposition_products(v, j, I, FpfInvolution.conj_transposition)
     terms[v] -= 1
     terms = _unframe({u: BetaInt(c.coeffs[1:]) for u, c in terms.items() if c}, d)
-    verified = _gp_combination(terms, win) == _gp_of_shifted(z, win)
+    # the stable series is invariant under the even shift
+    verified = _gp_combination(terms, win) == gp_sp(z.base, win)
     return GPRecurrenceCertificate(
-        z, ShiftedFpfInvolution(v, d).normalized(), j - d, k - d, l - d,
+        z, ShiftedFpfInvolution(v, d), j - d, k - d, l - d,
         tuple(i - d for i in I), tuple(terms.items()), verified)

@@ -17,6 +17,7 @@ from spgroth.coxeter import (
     ShiftedFpfInvolution,
     as_partition,
     as_strict_partition,
+    dearc,
     fpf_cover_up,
     is_fpf_grassmannian,
     perm_length,
@@ -395,6 +396,25 @@ def permutation_from_word(word) -> Permutation:
     return w
 
 
+def oracle_is_fpf_grassmannian(z: FpfInvolution):
+    """is_fpf_grassmannian with its two range checks on phi, which no
+    involution fails."""
+    arcs = dearc(z)
+    if not arcs:
+        return (0, ())
+    firsts = tuple(a for a, _ in arcs)
+    seconds = tuple(b for _, b in arcs)
+    n = seconds[0] - 1
+    r = len(arcs)
+    if seconds != tuple(n + t for t in range(1, r + 1)):
+        return None
+    if not all(firsts[t] < firsts[t + 1] for t in range(r - 1)):
+        return None
+    if firsts[-1] > n or firsts[0] < 1:
+        return None
+    return (n, firsts)
+
+
 def fpf_grassmannian_from_shape(lam: tuple[int, ...], n: int) -> FpfInvolution:
     """The involution whose dearc consists of the arcs (n - lam_i, n + i);
     inverse of is_fpf_grassmannian on its image.
@@ -758,8 +778,8 @@ def oracle_tableaux(cells, pools, max_weight: int, row_ok, col_ok) -> list[tuple
 
 # Z-indexed transition machinery computed on the shifted involution itself,
 # one cover test and one conjugation at a time.  The downward list scans from
-# two steps under the support whatever j is, so it misses the cover at j - 1
-# when j lies further down; it is an oracle for j >= v.min_support() - 1.
+# four steps under both j and the support, two further down than the frame
+# the library builds, so a cover the frame could miss would show.
 
 
 def oracle_shifted_cover_up(v: ShiftedFpfInvolution, i: int, j: int) -> bool:
@@ -769,11 +789,11 @@ def oracle_shifted_cover_up(v: ShiftedFpfInvolution, i: int, j: int) -> bool:
 
 def oracle_shifted_conj(v: ShiftedFpfInvolution, i: int, j: int) -> ShiftedFpfInvolution:
     y, d = v.with_headroom(min(i, j))
-    return ShiftedFpfInvolution(y.conj_transposition(i + d, j + d), d).normalized()
+    return ShiftedFpfInvolution(y.conj_transposition(i + d, j + d), d)
 
 
 def oracle_shifted_cover_list_below(v: ShiftedFpfInvolution, j: int) -> tuple[int, ...]:
-    lo = v.min_support() - 2
+    lo = min(j, v.min_support()) - 4
     return tuple(i for i in range(lo, j) if oracle_shifted_cover_up(v, i, j))
 
 

@@ -227,6 +227,45 @@ class TestSweep:
                                    "failures": ["-", "3412", "4321"]}
 
 
+def verify_argv(identity: str, label: str) -> list[str]:
+    """The verify command a reader types to re-run the sweep case of this
+    label: the word, then --j/--k from "(j,k)=(j,k)" or "k=k", and --offset
+    from "off=offset"."""
+    word, *fields = label.split()
+    argv = ["verify", identity, word]
+    for field in fields:
+        name, _, value = field.partition("=")
+        if name == "(j,k)":
+            j, k = value.strip("()").split(",")
+            argv += [f"--j={j}", f"--k={k}"]
+        elif name == "k":
+            argv.append(f"--k={value}")
+        elif name == "off":
+            argv.append(f"--offset={value}")
+        else:
+            raise ValueError(f"unknown field {field!r} in {label!r}")
+    return argv
+
+
+class TestSweepMatchesVerify:
+    def test_every_case_reruns_under_verify(self, capsys):
+        seen = set()
+        for identity, (kind, _, _) in cli.IDENTITIES.items():
+            rank = 3 if kind == "perm" else 4
+            labels = [label for label, *_ in cli._sweep_cases(identity, rank)]
+            assert labels, identity
+            for label in labels:
+                argv = verify_argv(identity, label)
+                assert run(capsys, *argv) == (0, "PASS\n", ""), argv
+                seen.add(tuple(argv))
+        # the stable transition reads its offset-2 cases at the shifted
+        # indices, down to the 2-cycle (-1, 0)
+        assert ("verify", "stable-sp-transition", "3412", "--j=-1", "--k=1",
+                "--offset=2") in seen
+        assert ("verify", "stable-sp-transition", "-", "--j=-1", "--k=0",
+                "--offset=2") in seen
+
+
 class TestArgparseSurface:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2

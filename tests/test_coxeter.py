@@ -37,6 +37,7 @@ from helpers import (
     fpf_grassmannian_from_shape,
     oracle_fpf_length,
     oracle_inversions,
+    oracle_is_fpf_grassmannian,
     oracle_lex_least_reduced_word,
     oracle_min_conjugating_length,
     oracle_partitions_of,
@@ -391,6 +392,12 @@ class TestDearcAndGrassmannian:
             assert fpf_grassmannian_from_shape(lam, n) == z
         assert seen > 10
 
+    def test_agrees_with_range_checked_decode(self):
+        zs = list(all_fpf_involutions(10))
+        assert len(zs) == 945
+        for z in zs:
+            assert is_fpf_grassmannian(z) == oracle_is_fpf_grassmannian(z), z
+
     def test_empty_dearc_only_for_theta(self):
         for z in all_fpf_involutions(8):
             if dearc(z) == ():
@@ -436,12 +443,34 @@ class TestShiftedInvolution:
         assert v.value(5) == 6 and v.value(-3) == -2
 
     def test_normalized(self):
+        # the constructor stores the representative of least offset
         v = ShiftedFpfInvolution(shift_fpf(1, parse_fpf("3412")), 2)
-        assert v.normalized() == ShiftedFpfInvolution(parse_fpf("3412"), 0)
+        assert (v.base, v.offset) == (parse_fpf("3412"), 0)
+        assert v == ShiftedFpfInvolution(parse_fpf("3412"))
+        # a base not starting with a base pair keeps its offset
+        v = ShiftedFpfInvolution(parse_fpf("3412"), 2)
+        assert (v.base, v.offset) == (parse_fpf("3412"), 2)
 
     def test_normalized_theta_has_offset_zero(self):
         for offset in (0, 2, 4):
-            assert ShiftedFpfInvolution(THETA, offset).normalized() == ShiftedFpfInvolution(THETA)
+            v = ShiftedFpfInvolution(THETA, offset)
+            assert (v.base, v.offset) == (THETA, 0)
+            assert v == ShiftedFpfInvolution(THETA)
+            assert hash(v) == hash(ShiftedFpfInvolution(THETA))
+
+    def test_equal_involutions_on_z_are_equal(self):
+        for z in all_fpf_involutions(6):
+            v = ShiftedFpfInvolution(z)
+            for m in (1, 2):
+                w = ShiftedFpfInvolution(shift_fpf(m, z), 2 * m)
+                assert w == v, (z, m)
+                assert hash(w) == hash(v), (z, m)
+                assert all(w.value(i) == v.value(i) for i in range(-6, 9))
+
+    def test_bad_offsets_raise(self):
+        for offset in (1, 3, -1, -2):
+            with pytest.raises(ValueError, match="offset must be even and nonnegative"):
+                ShiftedFpfInvolution(parse_fpf("3412"), offset)
 
 
 class TestEnumerators:

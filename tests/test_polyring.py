@@ -205,6 +205,32 @@ class TestRingOps:
         assert f.coefficient((1, 0)) == BetaInt.of(1)
         assert f.coefficient((5, 5)) == BetaInt()
 
+    def test_equality_with_constants_and_foreign_objects(self):
+        assert MultiPoly.constant(3, 2) == 3
+        assert MultiPoly.zero(2) == 0
+        assert MultiPoly.one(2) != 2
+        assert MultiPoly.beta(2) == BETA
+        assert MultiPoly.beta(2) + 1 == BetaInt((1, 1))
+        assert X(1, 2) != BETA
+        # a foreign object compares by identity: __eq__ defers
+        assert MultiPoly.one(2).__eq__("1") is NotImplemented
+        assert MultiPoly.one(2) != "1"
+
+    def test_coefficient_of_longer_exponent_vector(self):
+        f = oplus(X(1, 2), X(2, 2))
+        # a zero tail names the same monomial, a nonzero tail none of f's
+        assert f.coefficient((1, 1, 0, 0)) == BETA
+        assert f.coefficient((1, 0, 0)) == BetaInt.of(1)
+        assert f.coefficient((1, 1, 1)) == BetaInt()
+        assert f.coefficient((0, 0, 0, 2)) == BetaInt()
+
+    def test_coefficient_outside_packed_range(self):
+        f = X(1, 2, EXP_MAX) + X(2, 2, EXP_MIN)
+        assert f.coefficient((EXP_MAX, 0)) == BetaInt.of(1)
+        assert f.coefficient((0, EXP_MIN)) == BetaInt.of(1)
+        assert f.coefficient((EXP_MAX + 1, 0)) == BetaInt()
+        assert f.coefficient((0, EXP_MIN - 1)) == BetaInt()
+
 
 class TestOplus:
     def test_examples(self):

@@ -585,8 +585,12 @@ class TestStableTransition:
         win = Window(3, 4)
         base = FpfInvolution.from_cycles([(1, 2), (3, 5), (4, 8), (6, 7)])
         assert verify_stable_sp_transition(ShiftedFpfInvolution(base), 3, 5, win)
-        shifted = ShiftedFpfInvolution(shift_fpf(1, base), 2)
-        assert verify_stable_sp_transition(shifted, 3, 5, win)
+        # the 2-cycle (3, 5) read at offset 2 and 4; base starts with a base
+        # pair, so offset 4 is stored at offset 2
+        for off in (2, 4):
+            shifted = ShiftedFpfInvolution(base, off)
+            assert verify_stable_sp_transition(shifted, 3 - off, 5 - off, win)
+        assert ShiftedFpfInvolution(base, 4).offset == 2
 
     def test_rank6_sweep_offset_independent(self):
         win = Window(3, 4)
@@ -594,7 +598,7 @@ class TestStableTransition:
             for j, k in z.cycles_in_rank(6):
                 assert verify_stable_sp_transition(ShiftedFpfInvolution(z), j, k, win)
                 assert verify_stable_sp_transition(
-                    ShiftedFpfInvolution(shift_fpf(1, z), 2), j, k, win)
+                    ShiftedFpfInvolution(z, 2), j - 2, k - 2, win)
 
     def test_below_support(self):
         # the downward cover at j - 1 lies two or more steps under the support
@@ -611,9 +615,9 @@ class TestFrameAgainstShiftedOracle:
     def test_transition_lists_and_products(self):
         conj = FpfInvolution.conj_transposition
         for z in all_fpf_involutions(6):
-            for j, k in z.cycles_in_rank(6):
-                for half in (0, 1):
-                    v = ShiftedFpfInvolution(shift_fpf(half, z), 2 * half)
+            for a, b in z.cycles_in_rank(6):
+                for off in (0, 2):
+                    v, j, k = ShiftedFpfInvolution(z, off), a - off, b - off
                     y, d = v.with_headroom(min(j, v.min_support()) - 2)
                     I, L = fpf_transition_indices(y, j + d, k + d)
                     want_i = oracle_shifted_cover_list_below(v, j)
@@ -621,17 +625,36 @@ class TestFrameAgainstShiftedOracle:
                     assert tuple(i - d for i in I) == want_i
                     assert tuple(l - d for l in L) == want_l
                     assert _unframe(_transposition_products(y, j + d, I, conj), d) == \
-                        oracle_shifted_products(v.normalized(), j, want_i)
+                        oracle_shifted_products(v, j, want_i)
                     assert _unframe(_transposition_products(y, k + d, L, conj), d) == \
-                        oracle_shifted_products(v.normalized(), k, want_l)
+                        oracle_shifted_products(v, k, want_l)
+
+    def test_products_independent_of_frame_size(self):
+        # a frame two indices deeper gives the same cover lists and the same
+        # products on Z
+        conj = FpfInvolution.conj_transposition
+
+        def unframed(v, j, k, lowest):
+            y, d = v.with_headroom(lowest)
+            I, L = fpf_transition_indices(y, j + d, k + d)
+            return (tuple(i - d for i in I), tuple(l - d for l in L),
+                    _unframe(_transposition_products(y, j + d, I, conj), d),
+                    _unframe(_transposition_products(y, k + d, L, conj), d))
+
+        for z in all_fpf_involutions(6):
+            for a, b in z.cycles_in_rank(6):
+                for off in (0, 2):
+                    v, j, k = ShiftedFpfInvolution(z, off), a - off, b - off
+                    lowest = min(j, v.min_support()) - 2
+                    assert unframed(v, j, k, lowest) == unframed(v, j, k, lowest - 2), (z, j)
 
     def test_recurrence_certificates(self):
         win = Window(2, 3)
         for z in all_fpf_involutions(6):
             if z == THETA:
                 continue
-            for half in (0, 1):
-                v = ShiftedFpfInvolution(shift_fpf(half, z), 2 * half)
+            for off in (0, 2):
+                v = ShiftedFpfInvolution(z, off)
                 cert = gp_sp_positive_recurrence(v, win)
                 assert cert.verified
                 assert cert.z == v
