@@ -13,12 +13,10 @@ from .coxeter import (
     fpf_cover_up,
     fpf_length,
     fpf_transition_indices,
-    grassmannian_perm,
     is_fpf_grassmannian,
     perm_length,
     reduced_word,
     shift_fpf,
-    shift_perm,
     sp_code,
     sp_rothe_diagram,
     sp_shape,

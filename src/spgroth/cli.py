@@ -55,10 +55,16 @@ def _parse(kind: str, text: str):
         raise CliError(f"cannot parse {kind} element {text!r}: {exc}") from exc
 
 
+def _json(fields: dict) -> str:
+    """The canonical JSON text of one output object, stamped with the
+    schema version: keys sorted, no spaces."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **fields},
+                      sort_keys=True, separators=(",", ":"))
+
+
 def _emit_poly(f: MultiPoly, args, meta: dict) -> None:
     if args.format == "json":
-        obj = {"schema_version": SCHEMA_VERSION, **meta, "nvars": f.nvars, "terms": []}
-        header = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        header = _json({**meta, "nvars": f.nvars, "terms": []})
         # the terms array is serialized as text, in the dump's own format, and
         # spliced in; a string value escapes its quotes, so the key is found
         before, _, after = header.rpartition('"terms":[]')
@@ -71,8 +77,7 @@ def _emit_expansion(rows, args, meta: dict) -> None:
     """Print (element text, BetaInt coefficient) rows."""
     if args.format == "json":
         terms = [{"element": el, "coef": list(c.coeffs)} for el, c in rows]
-        obj = {"schema_version": SCHEMA_VERSION, **meta, "terms": terms}
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(_json({**meta, "terms": terms}))
     else:
         for el, c in rows:
             print(f"{el}: {c.bracket()}")
@@ -181,10 +186,8 @@ def cmd_verify(args) -> int:
         element = cx.ShiftedFpfInvolution(element, args.offset or 0)
     ok, detail = _check(args.identity, element, args.j, args.k, win)
     if args.format == "json":
-        obj = {"schema_version": SCHEMA_VERSION, "command": "verify",
-               "identity": args.identity, "element": args.element,
-               "result": "PASS" if ok else "FAIL"}
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(_json({"command": "verify", "identity": args.identity,
+                     "element": args.element, "result": "PASS" if ok else "FAIL"}))
     else:
         print("PASS" if ok else "FAIL")
         text = "" if ok else detail()
@@ -197,9 +200,9 @@ def _sweep_cases(identity: str, rank: int):
     """Yield (label, element, j, k) per case of the identity at the rank:
     every element of its kind that the sweep visits, with every index
     value it needs (k up to rank + 1, or each 2-cycle (a, b) inside the
-    rank).  The shifted kind reads each involution on Z at offsets 0 and 2,
-    the 2-cycle then at (a - offset, b - offset), exactly as verify reads
-    it at that --offset."""
+    rank).  The shifted kind reads each involution on Z at offset 0 only:
+    its 2-cycle (a - 2, b - 2) at offset 2 frames to the same computation
+    as a case at offset 0."""
     kind, needs, visits = IDENTITIES[identity]
     elements = cx.all_permutations(rank) if kind == "perm" else cx.all_fpf_involutions(rank)
     for el in elements:
@@ -211,15 +214,10 @@ def _sweep_cases(identity: str, rank: int):
         elif kind == "perm":
             for k in range(1, rank + 2):
                 yield f"{word} k={k}", el, None, k
-        elif kind == "fpf":
-            for a, b in el.cycles_in_rank(rank):
-                yield f"{word} (j,k)=({a},{b})", el, a, b
         else:
+            element = el if kind == "fpf" else cx.ShiftedFpfInvolution(el)
             for a, b in el.cycles_in_rank(rank):
-                for off in (0, 2):
-                    j, k = a - off, b - off
-                    yield (f"{word} (j,k)=({j},{k}) off={off}",
-                           cx.ShiftedFpfInvolution(el, off), j, k)
+                yield f"{word} (j,k)=({a},{b})", element, a, b
 
 
 def cmd_sweep(args) -> int:
@@ -234,10 +232,8 @@ def cmd_sweep(args) -> int:
         if not _check(args.identity, element, j, k, win)[0]:
             failures.append(label)
     if args.format == "json":
-        obj = {"schema_version": SCHEMA_VERSION, "command": "sweep",
-               "identity": args.identity, "rank": args.rank, "total": total,
-               "failures": failures}
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(_json({"command": "sweep", "identity": args.identity, "rank": args.rank,
+                     "total": total, "failures": failures}))
     elif failures:
         print(f"{len(failures)}/{total} identities FAIL")
         for label in failures:

@@ -160,22 +160,6 @@ def transition_indices_perm(v: Permutation, k: int) -> tuple[tuple[int, ...], tu
     return J, L
 
 
-def shift_perm(m: int, w: Permutation) -> Permutation:
-    """The permutation fixing 1..m and acting as w shifted up by m."""
-    return Permutation.from_oneline(
-        list(range(1, m + 1)) + [v + m for v in w.oneline])
-
-
-def grassmannian_perm(lam: tuple[int, ...]) -> Permutation:
-    """The unique permutation with at most one descent, at position
-    len(lam), whose i-th value is i + lam[k - i] below the descent."""
-    lam = as_partition(lam)
-    k = len(lam)
-    head = [i + lam[k - i] for i in range(1, k + 1)]
-    rest = [v for v in range(1, (k + lam[0] if lam else 0) + 1) if v not in head]
-    return Permutation.from_oneline(head + rest)
-
-
 def all_permutations(n: int):
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation.from_oneline(word)

@@ -446,9 +446,6 @@ class MultiPoly:
         zero = _layout(self.nvars).zero
         return (reduce(and_, self.terms, zero) & zero) != zero
 
-    def is_homogeneous(self) -> bool:
-        return self.min_degree() == self.total_degree()
-
     def x_monomials(self) -> set[tuple[int, ...]]:
         exps = _layout(self.nvars).exps
         return {exps(xk) for xk in {k >> FIELD_BITS for k in self.terms}}

@@ -396,6 +396,22 @@ def permutation_from_word(word) -> Permutation:
     return w
 
 
+def shift_perm(m: int, w: Permutation) -> Permutation:
+    """The permutation fixing 1..m and acting as w shifted up by m."""
+    return Permutation.from_oneline(
+        list(range(1, m + 1)) + [v + m for v in w.oneline])
+
+
+def grassmannian_perm(lam: tuple[int, ...]) -> Permutation:
+    """The unique permutation with at most one descent, at position
+    len(lam), whose i-th value is i + lam[k - i] below the descent."""
+    lam = as_partition(lam)
+    k = len(lam)
+    head = [i + lam[k - i] for i in range(1, k + 1)]
+    rest = [v for v in range(1, (k + lam[0] if lam else 0) + 1) if v not in head]
+    return Permutation.from_oneline(head + rest)
+
+
 def oracle_is_fpf_grassmannian(z: FpfInvolution):
     """is_fpf_grassmannian with its two range checks on phi, which no
     involution fails."""
@@ -628,6 +644,10 @@ def ref_scale_x_by_neg_beta(a: dict) -> dict:
         d = sum(exps)
         _accumulate(out, (bp + d, exps), c * (-1) ** d)
     return out
+
+
+def is_homogeneous(f: MultiPoly) -> bool:
+    return f.min_degree() == f.total_degree()
 
 
 def oracle_beta_zero(f: MultiPoly) -> MultiPoly:

@@ -10,13 +10,11 @@ from spgroth.coxeter import (
     Permutation,
     all_fpf_involutions,
     all_permutations,
-    grassmannian_perm,
     is_fpf_grassmannian,
     parse_fpf,
     parse_permutation,
     partitions_of,
     reduced_word,
-    shift_perm,
 )
 from spgroth.grothendieck import (
     grothendieck,
@@ -54,10 +52,12 @@ from helpers import (
     S3_TABLE,
     SP4_TABLE,
     SP_351624_TERMS,
+    grassmannian_perm,
     oracle_sp_grothendieck,
     oracle_stable_groth_partition,
     poly_from_beta_terms,
     random_beta_poly,
+    shift_perm,
     sp_grassmannian_formula,
     symmetrize_block,
 )

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import spgroth.cli as cli
+import spgroth.stable as st
 from spgroth.cli import main
-from spgroth.coxeter import all_fpf_involutions, fpf_length
+from spgroth.coxeter import ShiftedFpfInvolution, all_fpf_involutions, fpf_length
 from spgroth.grothendieck import TransitionCheck, sp_grothendieck
 from spgroth.polyring import EXP_MAX, MultiPoly
 
@@ -45,6 +46,13 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "groth", "1231")
         assert code == 2
         assert "cannot parse" in err
+
+    def test_fpf_parse_errors_exit_2(self, capsys):
+        prefix = "error: cannot parse fpf element"
+        assert run(capsys, "compute", "sp-groth", "213") == (
+            2, "", f"{prefix} '213': fpf involution word must have even length\n")
+        assert run(capsys, "compute", "sp-groth", "1134") == (
+            2, "", f"{prefix} '1134': not a permutation word: (1, 1, 3, 4)\n")
 
     def test_empty_partition(self, capsys):
         code, out, _ = run(capsys, "compute", "GP", "-")
@@ -229,8 +237,7 @@ class TestSweep:
 
 def verify_argv(identity: str, label: str) -> list[str]:
     """The verify command a reader types to re-run the sweep case of this
-    label: the word, then --j/--k from "(j,k)=(j,k)" or "k=k", and --offset
-    from "off=offset"."""
+    label: the word, then --j/--k from "(j,k)=(j,k)" or "k=k"."""
     word, *fields = label.split()
     argv = ["verify", identity, word]
     for field in fields:
@@ -240,8 +247,6 @@ def verify_argv(identity: str, label: str) -> list[str]:
             argv += [f"--j={j}", f"--k={k}"]
         elif name == "k":
             argv.append(f"--k={value}")
-        elif name == "off":
-            argv.append(f"--offset={value}")
         else:
             raise ValueError(f"unknown field {field!r} in {label!r}")
     return argv
@@ -249,7 +254,6 @@ def verify_argv(identity: str, label: str) -> list[str]:
 
 class TestSweepMatchesVerify:
     def test_every_case_reruns_under_verify(self, capsys):
-        seen = set()
         for identity, (kind, _, _) in cli.IDENTITIES.items():
             rank = 3 if kind == "perm" else 4
             labels = [label for label, *_ in cli._sweep_cases(identity, rank)]
@@ -257,13 +261,52 @@ class TestSweepMatchesVerify:
             for label in labels:
                 argv = verify_argv(identity, label)
                 assert run(capsys, *argv) == (0, "PASS\n", ""), argv
-                seen.add(tuple(argv))
-        # the stable transition reads its offset-2 cases at the shifted
-        # indices, down to the 2-cycle (-1, 0)
-        assert ("verify", "stable-sp-transition", "3412", "--j=-1", "--k=1",
-                "--offset=2") in seen
-        assert ("verify", "stable-sp-transition", "-", "--j=-1", "--k=0",
-                "--offset=2") in seen
+
+    def test_offset_2_passes_under_verify(self, capsys):
+        # the sweep reads offset 0 only; verify still reads an involution at
+        # offset 2, down to the 2-cycle (-1, 0)
+        for element, j, k in (("3412", -1, 1), ("-", -1, 0)):
+            argv = ("verify", "stable-sp-transition", element, f"--j={j}", f"--k={k}",
+                    "--offset=2")
+            assert run(capsys, *argv) == (0, "PASS\n", ""), argv
+
+
+class _Frame(Exception):
+    pass
+
+
+def stable_frame(monkeypatch, v: ShiftedFpfInvolution, j: int, k: int) -> tuple:
+    """(y.oneline, j + d, k + d): the positive frame (y, d) on which
+    verify_stable_sp_transition computes the case, read from its call of
+    fpf_transition_indices, which is stopped before any polynomial."""
+    def capture(y, jd, kd):
+        raise _Frame((y.oneline, jd, kd))
+
+    monkeypatch.setattr(st, "fpf_transition_indices", capture)
+    with pytest.raises(_Frame) as frame:
+        st.verify_stable_sp_transition(v, j, k, st.Window(4, 6))
+    return frame.value.args[0]
+
+
+class TestStableSweepFrames:
+    def sweep_frames(self, monkeypatch, rank: int) -> list[tuple]:
+        return [stable_frame(monkeypatch, v, j, k)
+                for _, v, j, k in cli._sweep_cases("stable-sp-transition", rank)]
+
+    def test_no_two_cases_share_a_frame(self, monkeypatch):
+        for rank, total in ((4, 6), (6, 45)):
+            frames = self.sweep_frames(monkeypatch, rank)
+            assert len(set(frames)) == len(frames) == total, rank
+
+    def test_offset_2_frames_are_visited(self, monkeypatch):
+        # the sweep once also read each involution at offset 2, its 2-cycle
+        # (a, b) at (a - 2, b - 2); each of those frames is an offset-0 case's
+        for rank in (4, 6, 8):
+            visited = set(self.sweep_frames(monkeypatch, rank))
+            shifted = {stable_frame(monkeypatch, ShiftedFpfInvolution(el, 2), a - 2, b - 2)
+                       for el in all_fpf_involutions(rank)
+                       for a, b in el.cycles_in_rank(rank)}
+            assert shifted <= visited, rank
 
 
 class TestArgparseSurface:
@@ -283,8 +326,9 @@ class TestArgparseSurface:
 # an expansion) while the shape series G was still a tableau sum, and the
 # five rank-10 symplectic ops of the benchmark's family workload (the wide
 # element, then the four deep ones), copied from perfbench/references.json,
-# which was recorded while the family still climbed by first ascents; every
-# op exits 0
+# which was recorded while the family still climbed by first ascents; the
+# rank-4 stable sweep was re-recorded when it stopped repeating, at offset 2,
+# the computations of its offset-0 cases; every op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -319,7 +363,7 @@ PINNED_OUTPUT = [
     ("sweep lenart-transition --rank 4 --format json",
      "bfae2d3480debafb45326554cd73998a03d3ce9470b2778156b5ee9ec384ac15"),
     ("sweep stable-sp-transition --rank 4 --format json",
-     "5f67d2cfa3ec9b440add41f5c23a524f6cbce6a0526f2365e423e2571140a05d"),
+     "526753cbc5b346a8fb7d4a564efbfe29930e0b0120728d55dd46763f7ac4ebbb"),
     ("sweep f-grass --rank 6",
      "3129d1c8b3a1bf82b54ae6adab6c88e062dd4116c2a22b42415900f7103c4766"),
     ("expand G 3,2 --nvars 4 --maxdeg 7 --format json",

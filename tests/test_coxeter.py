@@ -13,7 +13,6 @@ from spgroth.coxeter import (
     fpf_length,
     fpf_transition_indices,
     format_word,
-    grassmannian_perm,
     is_fpf_grassmannian,
     parse_fpf,
     parse_permutation,
@@ -21,7 +20,6 @@ from spgroth.coxeter import (
     perm_length,
     reduced_word,
     shift_fpf,
-    shift_perm,
     sp_code,
     sp_rothe_diagram,
     sp_shape,
@@ -35,6 +33,7 @@ from helpers import (
     ascent_chain_to_top,
     conj_by_transposition,
     fpf_grassmannian_from_shape,
+    grassmannian_perm,
     oracle_fpf_length,
     oracle_inversions,
     oracle_is_fpf_grassmannian,
@@ -43,6 +42,7 @@ from helpers import (
     oracle_partitions_of,
     oracle_strict_partitions_of,
     permutation_from_word,
+    shift_perm,
 )
 
 THETA = FpfInvolution.theta_involution()
@@ -115,6 +115,10 @@ class TestBruhatCovers:
                             and w(i) < w(j))
                     assert bruhat_cover_up(w, i, j) == jump
 
+    def test_indices_must_increase(self):
+        with pytest.raises(ValueError, match=r"^need i < j$"):
+            bruhat_cover_up(parse_permutation("2143"), 2, 2)
+
 
 class TestTransitionIndices:
     def test_examples(self):
@@ -160,6 +164,12 @@ class TestShiftAndGrassmannian:
 
 
 class TestFpfBasics:
+    def test_odd_rank_raises(self):
+        with pytest.raises(ValueError, match="^need even n$"):
+            FpfInvolution.top(3)
+        with pytest.raises(ValueError, match="^need even n$"):
+            next(all_fpf_involutions(3))
+
     def test_theta(self):
         assert [theta(i) for i in range(1, 7)] == [2, 1, 4, 3, 6, 5]
         assert THETA.oneline == ()
@@ -245,6 +255,10 @@ class TestFpfCovers:
                 for j in range(i + 1, 9):
                     jump = fpf_length(y.conj_transposition(i, j)) == fpf_length(y) + 1
                     assert fpf_cover_up(y, i, j) == jump
+
+    def test_indices_must_increase(self):
+        with pytest.raises(ValueError, match=r"^need i < j$"):
+            fpf_cover_up(FpfInvolution.top(4), 3, 2)
 
 
 class TestFpfTransitionIndices:

@@ -37,6 +37,7 @@ from helpers import (
     SP_351624_TERMS,
     ascent_chain_to_top,
     fpf_ascents,
+    is_homogeneous,
     oracle_fpf_length,
     oracle_is_sp_dominant,
     oracle_lenart_signed_terms,
@@ -100,7 +101,7 @@ class TestSchubert:
     def test_lowest_degree_part(self):
         for w in all_permutations(4):
             s = schubert(w)
-            assert s.is_homogeneous()
+            assert is_homogeneous(s)
             assert s.min_degree() == perm_length(w)
 
     def test_equals_beta_zero_part(self):
@@ -156,7 +157,7 @@ class TestSpGrothendieck:
     def test_bottom_is_homogeneous_of_fpf_length(self):
         for z in all_fpf_involutions(6):
             bottom = oracle_beta_zero(sp_grothendieck(z))
-            assert bottom.is_homogeneous()
+            assert is_homogeneous(bottom)
             assert bottom.min_degree() == fpf_length(z)
 
 

@@ -9,7 +9,6 @@ from spgroth.coxeter import (
     Permutation,
     all_permutations,
     reduced_word,
-    shift_perm,
 )
 from spgroth.grothendieck import sp_grothendieck
 from spgroth.polyring import (
@@ -51,6 +50,7 @@ from helpers import (
     ref_restrict,
     ref_terms,
     ref_truncate,
+    shift_perm,
     symmetrize_block,
 )
 
@@ -230,6 +230,12 @@ class TestRingOps:
         assert f.coefficient((0, EXP_MIN)) == BetaInt.of(1)
         assert f.coefficient((EXP_MAX + 1, 0)) == BetaInt()
         assert f.coefficient((0, EXP_MIN - 1)) == BetaInt()
+
+    def test_constructor_and_embed_reject_bad_sizes(self):
+        with pytest.raises(ValueError, match="^nvars must be positive$"):
+            MultiPoly(0)
+        with pytest.raises(ValueError, match="^cannot shrink; use restrict$"):
+            MultiPoly.one(3).embed(2)
 
 
 class TestOplus:

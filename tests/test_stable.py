@@ -8,12 +8,10 @@ from spgroth.coxeter import (
     all_fpf_involutions,
     all_permutations,
     fpf_transition_indices,
-    grassmannian_perm,
     partitions_of,
     parse_fpf,
     parse_permutation,
     shift_fpf,
-    shift_perm,
 )
 import spgroth.stable as stable
 from spgroth.grothendieck import _transposition_products, grothendieck, sp_grothendieck
@@ -45,6 +43,7 @@ from spgroth.stable import (
 
 from helpers import (
     gp_sp_stabilized,
+    grassmannian_perm,
     long_word_stable_groth_partition,
     long_word_stable_groth_perm,
     oracle_beta_zero,
@@ -58,6 +57,7 @@ from helpers import (
     oracle_stable_groth_partition,
     oracle_tableaux,
     poly_from_beta_terms,
+    shift_perm,
     sp_grassmannian_formula,
 )
 
@@ -437,6 +437,10 @@ class TestPiFormulas:
     def test_gp_examples(self):
         assert gp_via_pi_formula((), 2) == MultiPoly.one(1)
         assert gp_via_pi_formula((1,), 2) == poly_from_beta_terms(2, G1)
+
+    def test_gp_needs_a_variable_per_part(self):
+        with pytest.raises(ValueError, match="^shape has more parts than variables$"):
+            gp_via_pi_formula((2, 1), 1)
 
     def test_gp_dual_route(self):
         for lam in [(1,), (2,), (2, 1), (3,)]:
