@@ -37,6 +37,7 @@ from .polyring import (
     BetaInt,
     MultiPoly,
     _add_multiple,
+    _product,
     _times_one_plus_beta_x,
     apply_word,
     beta_divided_diff,
@@ -152,16 +153,16 @@ def is_sp_dominant(z: FpfInvolution) -> bool:
 
 
 def sp_dominant_poly(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
-    """Closed product over the diagram; only valid on dominant involutions.
-    Built in nvars variables, by default the largest row of the diagram."""
+    """Closed product of x_i (+) x_j over the cells (i, j) of the diagram;
+    only valid on dominant involutions.  Built in nvars variables, by
+    default the largest row of the diagram.  Each factor is beta-homogeneous
+    with positive coefficients, so the product is one Kronecker substitution
+    (polyring._product)."""
     if not is_sp_dominant(z):
         raise ValueError(f"{z!r} is not Sp-dominant")
-    cells = sorted(sp_rothe_diagram(z))
+    cells = sp_rothe_diagram(z)
     n = max((i for i, _ in cells), default=1) if nvars is None else nvars
-    f = MultiPoly.one(n)
-    for i, j in cells:
-        f = f * oplus(MultiPoly.x(i, n), MultiPoly.x(j, n))
-    return f
+    return _product([oplus(MultiPoly.x(i, n), MultiPoly.x(j, n)) for i, j in cells], n)
 
 
 # ---------------------------------------------------------------------------

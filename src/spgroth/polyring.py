@@ -31,6 +31,20 @@ key whose coefficient cancels.  The divided difference and the isobaric
 pass write several terms per input term, so they sum first and drop the
 zeros once at the end.
 
+_product multiplies beta-homogeneous polynomials (every term beta^b x^a has
+the same |a| - b) with nonnegative exponents and coefficients by Kronecker
+substitution.  The product is beta-homogeneous too, with |a| - b the sum L
+of the factors' values, so no two of its terms share an x-monomial: it is
+computed at beta = 1, and b is read back as |a| - L.  It is one Python
+integer with a slot per exponent vector: mixed radix, x_1 most
+significant, x_v of radix one more than the sum of the factors' largest
+exponents of x_v.  A slot takes 1, 2, 4 or 8 bytes, the fewest that hold
+the product of the factors' coefficient sums, which bounds every
+coefficient, so no slot carries.  Each term of a factor costs one shift
+and add.  The slots are then read through a memoryview, one block of high
+variables at a time; a key is linear in the exponents, so a block's keys
+are its high part plus those of the nonzero low slots.
+
 Tuples stay at the boundary: the constructor accepts {(beta_power,
 exponents): c}, and the queries return exponent tuples.  Both serialized
 forms, the canonical text and the JSON terms array, are written by one
@@ -42,9 +56,11 @@ beyond Z[beta] is supported.  Serialized output is bit-stable across runs.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cache, reduce
-from operator import and_, or_
+from itertools import compress
+from operator import and_, mul, or_
 from typing import Callable, Iterable, Iterator
 
 
@@ -568,6 +584,69 @@ def _serialize(f: MultiPoly, as_json: bool) -> str:
 def oplus(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """f + g + beta*f*g."""
     return f + g + MultiPoly.beta(1) * f * g
+
+
+_SLOTS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # slot bytes, memoryview code
+_BLOCK = 1 << 12  # most slots decoded per block
+
+
+def _product(factors: Iterable[MultiPoly], nvars: int) -> MultiPoly:
+    """The product of the factors in nvars variables, by Kronecker
+    substitution at beta = 1 (see the module docstring).  Each factor must
+    have nonnegative exponents and coefficients and be beta-homogeneous,
+    else ValueError; ExponentRangeError where __mul__ would raise it."""
+    lay = _layout(nvars)
+    deg = [0] * nvars  # the product's largest exponent of each variable
+    rows = []
+    bound, ell, top_beta = 1, 0, 0  # bound: the sum of the product's coefficients
+    for f in factors:
+        terms = list(f.embed(nvars).iter_beta_terms())
+        if not terms:
+            return MultiPoly.zero(nvars)
+        lengths = {sum(a) - b for b, a, _ in terms}
+        if len(lengths) > 1 or f.has_negative_exponents() or min(f.terms.values()) < 0:
+            raise ValueError("a factor of _product is not beta-homogeneous "
+                             "with nonnegative exponents and coefficients")
+        ell += lengths.pop()
+        top_beta += max(b for b, _, _ in terms)
+        deg = [d + max(col) for d, col in zip(deg, zip(*(a for _, a, _ in terms)))]
+        bound *= sum(c for _, _, c in terms)
+        rows.append(terms)
+    # nothing cancels, so the product reaches each of these bounds
+    if max(deg) > EXP_MAX or top_beta > BETA_MAX:
+        raise ExponentRangeError("exponent or beta power")
+    width, code = next((s for s in _SLOTS if bound >> 8 * s[0] == 0), (0, ""))
+    if not width:
+        raise ValueError(f"product coefficients up to {bound} need more than 8 bytes")
+    stride = [1] * nvars  # slots per unit of each variable, x_n least significant
+    for v in range(nvars - 1, 0, -1):
+        stride[v - 1] = stride[v] * (deg[v] + 1)
+    acc = 1
+    for terms in rows:
+        shifts = [(8 * width * sum(map(mul, a, stride)), c) for _, a, c in terms]
+        acc = sum(acc << s if c == 1 else (acc << s) * c for s, c in shifts)
+    view = memoryview(acc.to_bytes(stride[0] * (deg[0] + 1) * width, sys.byteorder))
+    del acc
+    view = view.cast(code)
+    if sys.byteorder == "big":  # slot 0 came last
+        view = view[::-1]
+
+    # the key of each slot is linear in its exponents, since b = |a| - ell
+    def keys(first: int, stop: int, start: int) -> list[int]:
+        out = [start]
+        for v in range(first, stop):
+            unit = (1 << lay.shift[v]) + (1 << lay.top) + 1
+            out = [k + e * unit for k in out for e in range(deg[v] + 1)]
+        return out
+
+    cut = next(v for v in range(nvars) if stride[v] <= _BLOCK)
+    low = keys(cut + 1, nvars, 0)
+    size = len(low)
+    out: dict[int, int] = {}
+    for i, high in enumerate(keys(0, cut + 1, lay.zero - ell)):
+        block = view[i * size:(i + 1) * size]
+        out.update(zip(map(high.__add__, compress(low, block)), compress(block, block)))
+    return MultiPoly._raw(nvars, out)
 
 
 def _swap_step(i: int, f: MultiPoly) -> tuple[int, int, int]:

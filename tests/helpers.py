@@ -143,6 +143,22 @@ def oracle_sp_grothendieck(z: FpfInvolution) -> MultiPoly:
     return _oracle_sp_groth(z.oneline)
 
 
+def oracle_product(factors, nvars: int) -> MultiPoly:
+    """The product by the generic kernel, one factor at a time."""
+    f = MultiPoly.one(nvars)
+    for g in factors:
+        f = f * g
+    return f
+
+
+def oracle_sp_dominant_poly(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
+    """The closed product over the diagram as a chain of generic products,
+    one x_i (+) x_j at a time, in the library's variable count."""
+    cells = sorted(sp_rothe_diagram(z))
+    n = max((i for i, _ in cells), default=1) if nvars is None else nvars
+    return oracle_product([oplus(MultiPoly.x(i, n), MultiPoly.x(j, n)) for i, j in cells], n)
+
+
 def oracle_is_sp_dominant(z: FpfInvolution) -> bool:
     """Sp-dominance read off the diagram as a set of cells: the nonempty
     columns are 1..k, column j holds exactly rows j+1 .. j+mu_j, and mu is

@@ -326,9 +326,11 @@ class TestArgparseSurface:
 # an expansion) while the shape series G was still a tableau sum, and the
 # five rank-10 symplectic ops of the benchmark's family workload (the wide
 # element, then the four deep ones), copied from perfbench/references.json,
-# which was recorded while the family still climbed by first ascents; the
-# rank-4 stable sweep was re-recorded when it stopped repeating, at offset 2,
-# the computations of its offset-0 cases; every op exits 0
+# which was recorded while the family still climbed by first ascents, and
+# the rank-10 top element, the largest closed product, recorded while that
+# product was still a chain of generic products; the rank-4 stable sweep
+# was re-recorded when it stopped repeating, at offset 2, the computations
+# of its offset-0 cases; every op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -394,6 +396,8 @@ PINNED_OUTPUT = [
      "94261bdc64526b18acaf3048d2fb99d47872570e500b43b2494594e6b5ad59c6"),
     ("compute sp-groth 3,4,1,2,6,5,9,10,7,8",
      "2f8e2947bf261562283014d18220bc2e678b407e1fdd9900912971f045e631e3"),
+    ("compute sp-groth 10,9,8,7,6,5,4,3,2,1",
+     "9582c26aca3242d45bcd96ac50bb736402d8000ccea1359ee8320b3e9656003b"),
 ]
 
 # sha256 over (one-line word, nvars, text) of the 34 rank-10 involutions of
@@ -439,7 +443,9 @@ class TestPackedRange:
 # first isobaric step of a one-row shape at the exponent limit, the packed
 # range of a shifted one-row shape one past that limit, and a G series
 # outside the strict-shape span, recorded while the G expansion still
-# listed every partition of each size
+# listed every partition of each size; and the coefficient bound of the
+# rank-14 top element's closed product (42 cells, so 3^42), recorded when
+# that product became one Kronecker substitution
 PINNED_ERRORS = [
     ("expand groth 4321 --max-expansion-degree 2",
      "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
@@ -461,6 +467,8 @@ PINNED_ERRORS = [
     ("expand G 2 --basis GP --nvars 3 --maxdeg 4",
      "error: nonzero in-window remainder: input is not in the basis span at this window "
      "(left: [-1] * x2 x3 + [-1] * x1 x3 + [-1] * x1 x2 + [0,-2] * x1 x2 x3)\n"),
+    ("compute sp-groth 14,13,12,11,10,9,8,7,6,5,4,3,2,1",
+     "error: product coefficients up to 109418989131512359209 need more than 8 bytes\n"),
 ]
 
 

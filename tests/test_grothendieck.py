@@ -45,6 +45,7 @@ from helpers import (
     oracle_beta_zero,
     oracle_grothendieck,
     oracle_sp_dominance_distance,
+    oracle_sp_dominant_poly,
     oracle_sp_grothendieck,
     poly_from_beta_terms,
 )
@@ -183,6 +184,26 @@ class TestSpDominant:
         for z in all_fpf_involutions(6):
             if is_sp_dominant(z):
                 assert sp_dominant_poly(z) == oracle_sp_grothendieck(z)
+
+    def test_product_equals_chain_of_products(self):
+        # the Kronecker product against one generic product per cell: every
+        # Sp-dominant involution of rank <= 8, and those of rank 10 with at
+        # most 50,000 terms.  No rank-10 product of 16 or more cells is that
+        # small; tests/check_sp_dominant_rank10.py checks this and compares
+        # all 126
+        for z in all_fpf_involutions(8):
+            if is_sp_dominant(z):
+                f, g = sp_dominant_poly(z), oracle_sp_dominant_poly(z)
+                assert f.nvars == g.nvars and f.terms == g.terms, z
+        small = 0
+        for z in all_fpf_involutions(10):
+            if is_sp_dominant(z) and fpf_length(z) <= 15:
+                f = sp_dominant_poly(z)
+                if len(f.terms) <= 50_000:
+                    small += 1
+                    g = oracle_sp_dominant_poly(z)
+                    assert f.nvars == g.nvars and f.terms == g.terms, z
+        assert small == 85
 
 
 def _same_output(f: MultiPoly, g: MultiPoly) -> bool:

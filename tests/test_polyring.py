@@ -15,6 +15,7 @@ from spgroth.polyring import (
     _CHUNK,
     _add_multiple,
     _layout,
+    _product,
     _times_one_plus_beta_x,
     BETA_MAX,
     EXP_MAX,
@@ -37,6 +38,7 @@ from helpers import (
     oracle_canonical_text,
     oracle_json_obj,
     oracle_json_text,
+    oracle_product,
     permutation_from_word,
     random_beta_poly,
     ref_act_si,
@@ -244,6 +246,85 @@ class TestOplus:
         assert oplus(x, zero) == x
         assert oplus(X(1, 2), X(2, 2)) == X(1, 2) + X(2, 2) + MultiPoly.beta(2) * X(1, 2) * X(2, 2)
         assert oplus(x, x) == 2 * x + MultiPoly.beta(2) * x * x
+
+
+def homogeneous_factor(rng, nvars: int, ell: int, max_deg: int = 3, terms: int = 4) -> MultiPoly:
+    """A random polynomial with positive coefficients in which every term
+    beta^b x^a has |a| - b = ell; zero when no drawn monomial has |a| >= ell."""
+    rows = {}
+    for _ in range(rng.randint(1, terms)):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        if sum(exps) >= ell:
+            rows[(sum(exps) - ell, exps)] = rng.randint(1, 3)
+    return MultiPoly(nvars, rows)
+
+
+def coefficient_bound(factors) -> int:
+    bound = 1
+    for f in factors:
+        bound *= sum(f.terms.values())
+    return bound
+
+
+class TestProduct:
+    """_product, the Kronecker-substitution product, against the chain of
+    generic products."""
+
+    def test_random_products(self, rng):
+        for _ in range(300):
+            nvars = rng.randint(1, 4)
+            factors = [homogeneous_factor(rng, rng.randint(1, nvars), rng.randint(-1, 3))
+                       for _ in range(rng.randint(0, 5))]
+            got = _product(factors, nvars)
+            want = oracle_product(factors, nvars)
+            assert got.nvars == nvars and got.terms == want.terms, factors
+
+    @pytest.mark.parametrize("width", (1, 2, 4, 8))
+    def test_each_slot_width(self, width):
+        # each case needs exactly this many bytes per slot: its coefficient
+        # bound fits in width bytes and not in the width below
+        top = (1 << 8 * width) - 1
+        x = [X(v, 3) for v in (1, 2, 3)]
+        k = {1: 5, 2: 10, 4: 20, 8: 40}[width]  # 3^k fits
+        cases = [
+            [top * x[1]],  # one slot holds the largest value
+            [x[0] + x[2], oplus(x[0], x[1]), (top // 6) * x[1], MultiPoly.constant(1, 3)],
+            [oplus(x[0], x[1])] * (k - 1) + [oplus(x[1], x[2])],
+        ]
+        for factors in cases:
+            bound = coefficient_bound(factors)
+            assert bound < 1 << 8 * width and (width == 1 or bound >= 1 << 4 * width)
+            got = _product(factors, 3)
+            assert got.nvars == 3 and got.terms == oracle_product(factors, 3).terms
+
+    def test_empty_and_zero(self):
+        one = _product([], 3)
+        assert one.nvars == 3 and one == MultiPoly.one(3)
+        zero = _product([X(1, 3), MultiPoly.zero(3), X(2, 3)], 3)
+        assert zero.nvars == 3 and zero.terms == {}
+
+    def test_range_errors_equal_mul(self):
+        # the coefficients are nonnegative, so the product reaches the
+        # degree bound and the bound check is exact
+        at_edge = MultiPoly(2, {(BETA_MAX - 1, (EXP_MAX - 1, 0)): 1})
+        for f, g in ((X(1, 2, EXP_MAX), X(1, 2)), (MultiPoly(2, {(BETA_MAX, (0, 0)): 1}),
+                                                    MultiPoly.beta(2))):
+            assert range_error(_product, [f, g], 2) == range_error(lambda: f * g) == RANGE_TEXT
+        assert _product([at_edge, oplus(X(1, 2), X(2, 2))], 2).terms == \
+            (at_edge * oplus(X(1, 2), X(2, 2))).terms
+        assert _product([X(1, 2, EXP_MAX - 1), X(1, 2)], 2) == X(1, 2, EXP_MAX)
+
+    def test_rejects_other_factors(self):
+        x = X(1, 2)
+        for bad in (X(1, 2, -1), -x, x + 1, x + MultiPoly.beta(2) * x):
+            with pytest.raises(ValueError, match="not beta-homogeneous with nonnegative"):
+                _product([X(2, 2), bad], 2)
+        # a coefficient bound past 8 bytes: 3^41 > 2^64 > 3^40
+        for factors in ([MultiPoly.constant(1 << 64, 2)], [oplus(x, X(2, 2))] * 41):
+            with pytest.raises(ValueError, match="need more than 8 bytes"):
+                _product(factors, 2)
+        with pytest.raises(ValueError, match="cannot shrink"):
+            _product([X(3, 3)], 2)
 
 
 class TestActSi:
