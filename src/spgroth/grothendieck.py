@@ -10,8 +10,9 @@ nearest Sp-dominant ancestor (ties go to the least ascent at each step).
 The beta steps of the climb are then applied in reverse to descend to the
 element.  Transition identities are verified by expanding both sides into
 honest polynomials.  Polynomials are expanded in the permutation-indexed
-basis by repeatedly stripping the lowest-degree homogeneous part, which is
-a Z[beta]-combination of Schubert polynomials.
+basis by one peel: the lowest-degree part of the remainder is a
+Z[beta]-combination of Schubert polynomials, and each of its pivots w takes
+c * S_w off that part and c * G_w off the remainder.
 """
 
 from __future__ import annotations
@@ -198,76 +199,64 @@ class ExpansionDegreeError(ValueError):
 
 
 def _sorted_terms(terms: dict[Permutation, BetaInt]) -> tuple[tuple[Permutation, BetaInt], ...]:
-    return tuple(sorted(((w, c) for w, c in terms.items() if c),
-                        key=lambda it: (perm_length(it[0]), it[0].oneline)))
+    return tuple(sorted(terms.items(), key=lambda it: (perm_length(it[0]), it[0].oneline)))
 
 
-def _extract_schubert_level(bottom: MultiPoly) -> dict[Permutation, BetaInt]:
-    """Write a homogeneous polynomial as a Z[beta]-combination of Schubert
-    polynomials of the same degree.
+def _peel(f: MultiPoly, max_deg: int) -> tuple[dict[Permutation, BetaInt], MultiPoly]:
+    """Peel basis terms off f, lowest degree first, while the remainder's
+    lowest degree d is at most max_deg; returns (terms, remainder).
 
-    Peels the lexicographically least exponent vector; its code names the
-    pivot permutation, whose coefficient is read off by applying the plain
-    divided difference word and evaluating at x = 0.
+    The degree-d part of the remainder is a Z[beta]-combination of Schubert
+    polynomials of degree d.  Its lexicographically least exponent vector is
+    the code of a pivot w of length d, whose coefficient c is read off by
+    applying the plain divided difference word of w and evaluating at x = 0.
+    Each pivot takes c * S_w off the degree-d part and c * G_w off the
+    remainder; every pivot has length d, so none comes back.
     """
-    found: dict[Permutation, BetaInt] = {}
-    work = MultiPoly._raw(bottom.nvars, dict(bottom.terms))  # reduced in place
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("schubert extraction failed to terminate")
-        exps = min(work.x_monomials())
-        w = permutation_from_code(exps)
-        rw = reduced_word(w)
-        ambient = max(work.nvars, max(rw) + 1 if rw else 1)
-        c = apply_word(divided_diff, rw, work.embed(ambient)).constant_term()
-        if c != work.coefficient(exps):
-            raise RuntimeError(f"pivot extraction mismatch at {w!r}")
-        found[w] = c
-        s = schubert(w)
-        if s.nvars > work.nvars:
-            work = work.embed(s.nvars)
-        _add_multiple(work.terms, work.nvars, s, -c)
-    return found
-
-
-def _expand_groth(f: MultiPoly, max_deg: int, censor: bool):
-    """Shared loop: peel lowest-degree parts into basis terms.  With censor
-    the loop stops quietly at the bound (the rest of the expansion only
-    involves indices of greater length); otherwise the bound is an error."""
     if f.has_negative_exponents():
         raise ValueError("expansion requires a polynomial")
     rem = MultiPoly._raw(f.nvars, dict(f.terms))  # reduced in place
     found: dict[Permutation, BetaInt] = {}
-    while rem:
-        d = rem.min_degree()
-        if d > max_deg:
-            if censor:
-                break
-            raise ExpansionDegreeError(
-                f"expansion exceeded max_deg={max_deg} (bottom degree {d})", rem)
-        # each pivot w has level d = length(w), so none comes back
-        for w, c in _extract_schubert_level(rem.degree_part(d)).items():
+    while rem and rem.min_degree() <= max_deg:
+        level = rem.bottom()  # a copy, reduced in place
+        guard = 0
+        while level:
+            guard += 1
+            if guard > 100000:
+                raise RuntimeError("schubert extraction failed to terminate")
+            exps = min(level.x_monomials())
+            w = permutation_from_code(exps)
+            rw = reduced_word(w)
+            ambient = max(level.nvars, max(rw) + 1 if rw else 1)
+            c = apply_word(divided_diff, rw, level.embed(ambient)).constant_term()
+            if c != level.coefficient(exps):
+                raise RuntimeError(f"pivot extraction mismatch at {w!r}")
             found[w] = c
-            g = grothendieck(w)
+            s, g = schubert(w), grothendieck(w)
             if g.nvars > rem.nvars:
-                rem = rem.embed(g.nvars)
+                level, rem = level.embed(g.nvars), rem.embed(g.nvars)
+            _add_multiple(level.terms, level.nvars, s, -c)
             _add_multiple(rem.terms, rem.nvars, g, -c)
-    return _sorted_terms(found)
+    return found, rem
 
 
 def expand_in_grothendieck_basis(f: MultiPoly, max_deg: int) -> Expansion:
     """Exact finite expansion of a polynomial in the permutation basis.
-    Raises ExpansionDegreeError when the iteration climbs past max_deg."""
-    return Expansion(_expand_groth(f, max_deg, censor=False))
+    Raises ExpansionDegreeError, with the remainder attached, when the
+    remainder still has a part of degree above max_deg."""
+    found, rem = _peel(f, max_deg)
+    if rem:
+        raise ExpansionDegreeError(
+            f"expansion exceeded max_deg={max_deg} (bottom degree {rem.min_degree()})", rem)
+    return Expansion(_sorted_terms(found))
 
 
 def expand_in_grothendieck_basis_censored(f: MultiPoly, cutoff: int) -> Expansion:
-    """Every basis coefficient for indices of length <= cutoff, discarding the
-    rest of the expansion (used for degree-truncated windows, where the
-    discarded terms contribute nothing)."""
-    return Expansion(_expand_groth(f, cutoff, censor=True))
+    """Every basis coefficient for indices of length <= cutoff: the same peel
+    as expand_in_grothendieck_basis, stopped quietly at the cutoff.  The rest
+    of the expansion only involves indices of greater length, and is dropped
+    (used for degree-truncated windows, where it contributes nothing)."""
+    return Expansion(_sorted_terms(_peel(f, cutoff)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ from spgroth.coxeter import (
     fpf_cover_up,
     is_fpf_grassmannian,
     perm_length,
+    permutation_from_code,
     reduced_word,
     sp_rothe_diagram,
     sp_shape,
     theta,
 )
-from spgroth.grothendieck import grothendieck, sp_grothendieck
+from spgroth.grothendieck import ExpansionDegreeError, grothendieck, schubert, sp_grothendieck
 from spgroth.polyring import (
     BETA_MAX,
     EXP_MAX,
@@ -34,9 +35,11 @@ from spgroth.polyring import (
     BetaInt,
     ExponentRangeError,
     MultiPoly,
+    _add_multiple,
     _layout,
     apply_word,
     beta_divided_diff,
+    divided_diff,
     isobaric,
     oplus,
     truncate,
@@ -157,6 +160,60 @@ def oracle_sp_dominant_poly(z: FpfInvolution, nvars: int | None = None) -> Multi
     cells = sorted(sp_rothe_diagram(z))
     n = max((i for i, _ in cells), default=1) if nvars is None else nvars
     return oracle_product([oplus(MultiPoly.x(i, n), MultiPoly.x(j, n)) for i, j in cells], n)
+
+
+def _oracle_schubert_level(bottom: MultiPoly) -> dict[Permutation, BetaInt]:
+    """A homogeneous polynomial as a Z[beta]-combination of Schubert
+    polynomials of its degree: peel the pivot named by the code of the
+    lexicographically least exponent vector until nothing is left."""
+    found: dict[Permutation, BetaInt] = {}
+    work = MultiPoly._raw(bottom.nvars, dict(bottom.terms))  # reduced in place
+    guard = 0
+    while work:
+        guard += 1
+        if guard > 100000:
+            raise RuntimeError("schubert extraction failed to terminate")
+        exps = min(work.x_monomials())
+        w = permutation_from_code(exps)
+        rw = reduced_word(w)
+        ambient = max(work.nvars, max(rw) + 1 if rw else 1)
+        c = apply_word(divided_diff, rw, work.embed(ambient)).constant_term()
+        if c != work.coefficient(exps):
+            raise RuntimeError(f"pivot extraction mismatch at {w!r}")
+        found[w] = c
+        s = schubert(w)
+        if s.nvars > work.nvars:
+            work = work.embed(s.nvars)
+        _add_multiple(work.terms, work.nvars, s, -c)
+    return found
+
+
+def oracle_expand_groth(f: MultiPoly, max_deg: int, censor: bool):
+    """The permutation-basis expansion as two nested loops: each pass
+    expands the whole lowest-degree part of the remainder in Schubert
+    polynomials, then takes the matching Grothendieck polynomials off the
+    remainder.  With censor the loop stops quietly at max_deg; otherwise
+    passing it raises ExpansionDegreeError.  Returns the nonzero terms,
+    ordered by length and then one-line word."""
+    if f.has_negative_exponents():
+        raise ValueError("expansion requires a polynomial")
+    rem = MultiPoly._raw(f.nvars, dict(f.terms))  # reduced in place
+    found: dict[Permutation, BetaInt] = {}
+    while rem:
+        d = rem.min_degree()
+        if d > max_deg:
+            if censor:
+                break
+            raise ExpansionDegreeError(
+                f"expansion exceeded max_deg={max_deg} (bottom degree {d})", rem)
+        for w, c in _oracle_schubert_level(rem.degree_part(d)).items():
+            found[w] = c
+            g = grothendieck(w)
+            if g.nvars > rem.nvars:
+                rem = rem.embed(g.nvars)
+            _add_multiple(rem.terms, rem.nvars, g, -c)
+    return tuple(sorted(((w, c) for w, c in found.items() if c),
+                        key=lambda it: (perm_length(it[0]), it[0].oneline)))
 
 
 def oracle_is_sp_dominant(z: FpfInvolution) -> bool:

@@ -398,6 +398,8 @@ PINNED_OUTPUT = [
      "2f8e2947bf261562283014d18220bc2e678b407e1fdd9900912971f045e631e3"),
     ("compute sp-groth 10,9,8,7,6,5,4,3,2,1",
      "9582c26aca3242d45bcd96ac50bb736402d8000ccea1359ee8320b3e9656003b"),
+    ("expand sp-groth 4,7,8,1,6,5,2,3 --format json",
+     "b8fb0ef6e07080cf0caf2847ee588cc860767009175ee2a1b3a8ba48705a51a0"),
 ]
 
 # sha256 over (one-line word, nvars, text) of the 34 rank-10 involutions of
@@ -489,6 +491,12 @@ def readme_commands() -> list[list[str]]:
             for block in blocks for line in block.splitlines() if line.startswith("spgroth ")]
 
 
+def readme_python() -> str:
+    """The source of README's one python block."""
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    return block
+
+
 class TestReadme:
     def test_examples_exit_0(self, capsys):
         commands = readme_commands()
@@ -496,3 +504,13 @@ class TestReadme:
         for argv in commands:
             code, _, err = run(capsys, *argv)
             assert code == 0, (argv, err)
+
+    def test_library_block_runs_and_states_true_values(self):
+        ns: dict = {}
+        exec(readme_python(), ns)
+        z, w, win = ns["z"], ns["w"], ns["win"]
+        assert ns["is_fpf_grassmannian"](z) == (6, (2, 3))
+        assert ns["verify_f_grass"](z, win) is True
+        assert ns["expand_in_GP_basis"](ns["gp_sp"](z, win), win).is_beta_positive() is True
+        check = ns["verify_lenart_transition"](w, 3)
+        assert check.equal is True and check.signed_equal is True

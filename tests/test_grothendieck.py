@@ -43,11 +43,13 @@ from helpers import (
     oracle_lenart_signed_terms,
     oracle_beta_rescale,
     oracle_beta_zero,
+    oracle_expand_groth,
     oracle_grothendieck,
     oracle_sp_dominance_distance,
     oracle_sp_dominant_poly,
     oracle_sp_grothendieck,
     poly_from_beta_terms,
+    random_beta_poly,
 )
 
 X = MultiPoly.x
@@ -408,6 +410,70 @@ class TestExpansion:
     def test_laurent_input_rejected(self):
         with pytest.raises(ValueError):
             expand_in_grothendieck_basis(X(1, 1, power=-1), 4)
+
+
+def _same_as_oracle(f: MultiPoly, max_deg: int) -> None:
+    """The exact expansion and the censored one against the two-level oracle
+    loop: the same terms in the same order, or, for the exact expansion past
+    max_deg, the same error text and the same residual."""
+    try:
+        want = oracle_expand_groth(f, max_deg, censor=False)
+    except ExpansionDegreeError as oracle_error:
+        with pytest.raises(ExpansionDegreeError) as info:
+            expand_in_grothendieck_basis(f, max_deg)
+        assert str(info.value) == str(oracle_error)
+        got, residual = info.value.residual, oracle_error.residual
+        assert (got.nvars, got.terms) == (residual.nvars, residual.terms)
+    else:
+        assert expand_in_grothendieck_basis(f, max_deg).terms == want
+    assert (expand_in_grothendieck_basis_censored(f, max_deg).terms
+            == oracle_expand_groth(f, max_deg, censor=True))
+
+
+class TestPeelAgainstOracle:
+    """The one-loop peel against the two-level oracle loop, which expands a
+    whole degree in Schubert polynomials before touching the remainder."""
+
+    def test_sp_family_to_rank_6(self):
+        for n in (2, 4, 6):
+            for z in all_fpf_involutions(n):
+                _same_as_oracle(sp_grothendieck(z), 40)
+
+    def test_basis_elements_of_s4(self):
+        for w in all_permutations(4):
+            _same_as_oracle(grothendieck(w), 40)
+
+    def test_random_polynomials_at_every_bound(self, rng):
+        seen_error = seen_negative = 0
+        for _ in range(50):
+            f = random_beta_poly(rng, nvars=rng.randint(1, 3))
+            seen_negative += any(c < 0 for c in f.terms.values())
+            top = max((perm_length(w) for w, _ in oracle_expand_groth(f, 40, censor=False)),
+                      default=0)
+            for max_deg in range(top + 1):
+                _same_as_oracle(f, max_deg)
+            seen_error += top > f.min_degree()
+        assert seen_error and seen_negative
+
+    def test_censored_at_every_cutoff_at_rank_6(self):
+        for z in all_fpf_involutions(6):
+            f = sp_grothendieck(z)
+            full = oracle_expand_groth(f, 40, censor=False)
+            for cutoff in range(perm_length(full[-1][0]) + 2):
+                got = expand_in_grothendieck_basis_censored(f, cutoff).terms
+                assert got == oracle_expand_groth(f, cutoff, censor=True), (z, cutoff)
+                assert got == tuple((w, c) for w, c in full if perm_length(w) <= cutoff)
+
+    def test_max_deg_error_text_and_residual(self):
+        f = sp_grothendieck(parse_fpf("4321"))
+        _same_as_oracle(f, fpf_length(parse_fpf("4321")))
+        with pytest.raises(ExpansionDegreeError) as info:
+            expand_in_grothendieck_basis(f, 2)
+        assert str(info.value) == "expansion exceeded max_deg=2 (bottom degree 3)"
+        found = expand_in_grothendieck_basis_censored(f, 2).terms
+        assert found
+        assert info.value.residual == f - sum((grothendieck(w) * c for w, c in found),
+                                              MultiPoly.zero(f.nvars))
 
 
 class TestCombination:
