@@ -182,9 +182,6 @@ class Expansion:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def coefficient(self, index) -> BetaInt:
-        return self.as_dict().get(index, BetaInt())
-
     def is_beta_positive(self) -> bool:
         return all(c.is_nonnegative() for _, c in self.terms)
 

@@ -6,8 +6,8 @@ of a permutation is pi_{w0} of its polynomial.  Set-valued tableaux remain
 only for the shifted shape series GP_lam; ordinary set-valued tableaux are
 the test oracle for G_lam.  Both come from one engine, _fillings, which
 shares each cell's list of allowed subsets between the nodes that ask for
-it; GP_lam sums its tableaux as integer keys and decodes only the distinct
-ones.
+it; GP_lam counts each tableau under its packed monomial key, a sum of
+per-cell offsets, with no decoding.
 
 Symmetric-series identities are always asserted "at a window": in the
 variables x_1..nvars, modulo terms of total degree above maxdeg.  Expansion
@@ -19,7 +19,6 @@ window and is not reported.
 from __future__ import annotations
 
 import itertools
-import struct
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -47,8 +46,12 @@ from .grothendieck import (
     sp_grothendieck,
 )
 from .polyring import (
+    BETA_MAX,
+    EXP_MAX,
     BetaInt,
+    ExponentRangeError,
     MultiPoly,
+    _layout,
     apply_word,
     isobaric,
     oplus,
@@ -169,62 +172,52 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     yield from _fillings(cells, pools, max_weight)
 
 
-class _SubsetCodes(dict):
-    """Integer code of a set of marked letters, made on first use: one digit
-    of `size` bytes per variable, counting the letters 2v - 1 and 2v in the
-    digit of x_v (x_1 lowest), and above them one beta digit counting the
-    letters after the first.  A sum of codes over the cells of a tableau
-    whose x digits stay below 256^size carries between no digits; the beta
-    digit is the top one and has no bound."""
+class _LetterSetOffsets(dict):
+    """Offset of a set S of marked letters from the packed key of 1: the
+    key of beta^(|S| - 1) x^content(S) less that of 1, made on first use.
+    Keys are linear in their fields, so while no field carries, the key of
+    a product is the key of 1 plus its factors' offsets."""
 
-    def __init__(self, nvars: int, size: int):
+    def __init__(self, layout):
         super().__init__()
-        # the digit unit of each letter 1..2 nvars (index 0 unused)
-        self.unit = (0, *(1 << (8 * size * (m // 2)) for m in range(2 * nvars)))
-        self.beta_unit = 1 << (8 * size * nvars)
+        self.layout = layout
 
     def __missing__(self, subset: tuple[int, ...]) -> int:
-        code = self[subset] = (sum(map(self.unit.__getitem__, subset))
-                               + (len(subset) - 1) * self.beta_unit)
-        return code
-
-
-_DIGITS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # digit bytes, struct code
-_CHUNK = 4096  # decoded terms handed to the MultiPoly constructor at once
+        exps = [0] * self.layout.nvars
+        for m in subset:
+            exps[(m - 1) // 2] += 1
+        offset = self[subset] = (self.layout.pack(len(subset) - 1, tuple(exps))
+                                 - self.layout.zero)
+        return offset
 
 
 def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """Shifted set-valued tableau generating function for the strict shape,
     truncated at the window: the sum of beta^(letters - |lam|) x^content,
     where the letters 2v - 1 and 2v count towards x_v.  Zero when lam has
-    more parts than nvars, since the diagonal strictly increases.
+    more parts than nvars, since the diagonal strictly increases, or when
+    |lam| exceeds maxdeg, since every cell holds a letter.
 
-    Each tableau is counted under one integer key, the sum of its cells'
-    subset codes (see _SubsetCodes), with digits wide enough for the
-    largest exponent a tableau can reach.  Only the distinct keys are
-    decoded, in the order their tableaux first appear, and the MultiPoly
-    constructor packs them, so it raises ExponentRangeError for the first
-    exponent or beta power outside the packed range, as it does for any
-    input."""
+    Each tableau is counted under its packed key, the key of 1 plus its
+    cells' offsets (see _LetterSetOffsets), and no field carries.  A value
+    is unprimed at most once per column and primed at most once per row, so
+    an exponent is at most 2 lam_1; lam_1 > EXP_MAX raises at once, as the
+    row filling (row i all i) gives the term x^lam.  Tableaux stop one beta
+    power past BETA_MAX, which some tableau reaches if any passes it, since
+    dropping a letter from a cell of two keeps a tableau.  One range check
+    then covers every key."""
     lam = as_strict_partition(lam)
     n = win.nvars
-    if len(lam) > n:
+    if len(lam) > n or sum(lam) > win.maxdeg:
         return MultiPoly.zero(n)
-    # at most maxdeg letters in all, and at most two of one value in a cell
-    most = min(win.maxdeg, 2 * sum(lam))
-    size, code = next((k, c) for k, c in _DIGITS if most < 1 << (8 * k))
-    codes = _SubsetCodes(n, size).__getitem__
-    counts = Counter(sum(map(codes, tab.values()))
-                     for tab in shifted_set_valued_tableaux(lam, n, win.maxdeg))
-    xbits = 8 * size * n
-    x_mask = (1 << xbits) - 1
-    unpack = struct.Struct(f"<{n}{code}").unpack
-    # the beta digit, letters beyond one per cell, is the power of beta
-    decoded = (((key >> xbits, unpack((key & x_mask).to_bytes(size * n, "little"))), c)
-               for key, c in counts.items())
-    terms: dict[int, int] = {}
-    while chunk := dict(itertools.islice(decoded, _CHUNK)):
-        terms.update(MultiPoly(n, chunk).terms)
+    if lam and lam[0] > EXP_MAX:
+        raise ExponentRangeError(f"exponent {lam[0]}")
+    layout = _layout(n)
+    offsets = _LetterSetOffsets(layout).__getitem__
+    max_weight = min(win.maxdeg, sum(lam) + BETA_MAX + 1)
+    terms = dict(Counter(sum(map(offsets, tab.values()), layout.zero)
+                         for tab in shifted_set_valued_tableaux(lam, n, max_weight)))
+    layout.check(terms)
     return MultiPoly._raw(n, terms)
 
 

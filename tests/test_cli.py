@@ -330,7 +330,11 @@ class TestArgparseSurface:
 # the rank-10 top element, the largest closed product, recorded while that
 # product was still a chain of generic products; the rank-4 stable sweep
 # was re-recorded when it stopped repeating, at offset 2, the computations
-# of its offset-0 cases; every op exits 0
+# of its offset-0 cases; the last two, a one-row shifted shape at the
+# largest exponent in range ("[1] * x1^16383") and one with more cells than
+# the window's degree ("0"), were recorded when GP began to sum packed keys:
+# the first as GP printed it while it still decoded its tableau keys, the
+# second where that route ran out of memory; every op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -400,6 +404,10 @@ PINNED_OUTPUT = [
      "9582c26aca3242d45bcd96ac50bb736402d8000ccea1359ee8320b3e9656003b"),
     ("expand sp-groth 4,7,8,1,6,5,2,3 --format json",
      "b8fb0ef6e07080cf0caf2847ee588cc860767009175ee2a1b3a8ba48705a51a0"),
+    ("compute GP 16383 --nvars 1 --maxdeg 40000",
+     "84cbf2390c4a343cbbf447c3df9f13c4a0970b8d78e91c257d5a9f6f575c0683"),
+    ("compute GP 9999999999 --nvars 1 --maxdeg 5",
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
 ]
 
 # sha256 over (one-line word, nvars, text) of the 34 rank-10 involutions of
@@ -445,9 +453,13 @@ class TestPackedRange:
 # first isobaric step of a one-row shape at the exponent limit, the packed
 # range of a shifted one-row shape one past that limit, and a G series
 # outside the strict-shape span, recorded while the G expansion still
-# listed every partition of each size; and the coefficient bound of the
+# listed every partition of each size; the coefficient bound of the
 # rank-14 top element's closed product (42 cells, so 3^42), recorded when
-# that product became one Kronecker substitution
+# that product became one Kronecker substitution; and three one-row shifted
+# shapes past the exponent limit, with the text the 16384 case had while GP
+# still decoded its tableau keys: the first exponent at which a 16-bit key
+# field would carry, and two shapes too large to list their cells, the
+# second past 64 bits
 PINNED_ERRORS = [
     ("expand groth 4321 --max-expansion-degree 2",
      "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
@@ -471,6 +483,15 @@ PINNED_ERRORS = [
      "(left: [-1] * x2 x3 + [-1] * x1 x3 + [-1] * x1 x2 + [0,-2] * x1 x2 x3)\n"),
     ("compute sp-groth 14,13,12,11,10,9,8,7,6,5,4,3,2,1",
      "error: product coefficients up to 109418989131512359209 need more than 8 bytes\n"),
+    ("compute GP 49152 --nvars 1 --maxdeg 49152",
+     "error: exponent 49152 outside the packed range "
+     "(exponents -16384..16383, beta powers 0..32767)\n"),
+    ("compute GP 9999999999 --nvars 1 --maxdeg 99999999999",
+     "error: exponent 9999999999 outside the packed range "
+     "(exponents -16384..16383, beta powers 0..32767)\n"),
+    ("compute GP 18446744073709551616 --nvars 1 --maxdeg 36893488147419103232",
+     "error: exponent 18446744073709551616 outside the packed range "
+     "(exponents -16384..16383, beta powers 0..32767)\n"),
 ]
 
 

@@ -330,21 +330,23 @@ class TestGPPartition:
                     want = oracle_gp_partition(lam, win)
                     assert got.nvars == want.nvars == win.nvars, (lam, win)
                     assert got.canonical_text() == want.canonical_text(), (lam, win)
-        # more distinct monomials than one chunk of decoded terms
+        # keys of 20 exponent fields
         win = Window(20, 4)
         got = gp_partition((1,), win)
-        assert len(got.terms) > stable._CHUNK
         assert got.canonical_text() == oracle_gp_partition((1,), win).canonical_text()
 
     def test_zero_beyond_nvars(self, monkeypatch):
-        # the diagonal strictly increases, so no tableau exists and none is
+        # the diagonal strictly increases, and every cell holds a letter, so
+        # with too many parts or cells no tableau exists and none is
         # enumerated
         def no_tableaux(*args):
-            raise AssertionError("enumerated tableaux of a shape with too many parts")
+            raise AssertionError("enumerated tableaux of a shape with too many parts or cells")
 
         monkeypatch.setattr(stable, "shifted_set_valued_tableaux", no_tableaux)
         for lam, win in [((2, 1), Window(1, 3)), ((3, 2, 1), Window(2, 8)),
-                         ((5, 4, 3, 2, 1), Window(4, 17)), ((4, 3, 2, 1), Window(3, 10))]:
+                         ((5, 4, 3, 2, 1), Window(4, 17)), ((4, 3, 2, 1), Window(3, 10)),
+                         ((2, 1), Window(2, 2)), ((3, 1), Window(6, 3)),
+                         ((9999999999,), Window(1, 5))]:
             f = gp_partition(lam, win)
             assert not f and f.nvars == win.nvars, (lam, win)
         with pytest.raises(ValueError):
@@ -489,7 +491,7 @@ class TestExpandG:
         win = Window(4, 6)
         e = expand_in_G_basis(stable_groth_perm(parse_permutation("321"), win), win)
         assert e.is_beta_positive()
-        assert e.coefficient((2, 1)) == BetaInt.of(1)
+        assert e.as_dict()[(2, 1)] == BetaInt.of(1)
 
     def test_gp_into_g_positive(self):
         win = Window(4, 6)
