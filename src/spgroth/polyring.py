@@ -488,31 +488,17 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self.canonical_text()!r})"
 
 
-class _FactorNames(dict):
-    """The x-factor of one variable by exponent, '' for exponent 0."""
-
-    __slots__ = ("var",)
-
-    def __init__(self, var: str):
-        super().__init__()
-        self.var = var
-
-    def __missing__(self, e: int) -> str:
-        name = self[e] = "" if e == 0 else self.var if e == 1 else f"{self.var}^{e}"
-        return name
-
-
-class _ExponentText(dict):
-    """The decimal text of an exponent."""
-
-    __slots__ = ()
-
-    def __missing__(self, e: int) -> str:
-        text = self[e] = str(e)
-        return text
-
-
 _CHUNK = 2048  # terms joined per chunk before the chunks are joined
+
+
+def _factors_text(exps: tuple[int, ...], first: int) -> str:
+    """The nonzero x-factors of x_first, x_first+1, ..., joined by spaces."""
+    return " ".join([f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in enumerate(exps, first) if e])
+
+
+def _exps_text(exps: tuple[int, ...], first: int) -> str:
+    """The exponents joined by commas; first goes unused."""
+    return ",".join(map(str, exps))
 
 
 def _serialize(f: MultiPoly, as_json: bool) -> str:
@@ -523,30 +509,25 @@ def _serialize(f: MultiPoly, as_json: bool) -> str:
     with their beta powers increasing, so each run extends the dense
     coefficient text of its monomial.  The monomial's text is memoized per
     half, x_1..x_cut and the rest: each half takes far fewer values than the
-    whole.  Terms are joined a chunk at a time, so no list of every term's
-    text exists beside the result."""
+    whole.  A miss writes the half from its exponents, by _factors_text or
+    _exps_text.  Terms are joined a chunk at a time, so no list of every
+    term's text exists beside the result."""
     n = f.nvars
     terms = f.terms
     exps = _layout(n).exps
     if as_json:
-        head, mid, open_, close, sep = '{"beta":[', ",", '],"exps":[', "]}", ","
-        names = [_ExponentText()] * n
+        head, mid, open_, close, sep, write = '{"beta":[', ",", '],"exps":[', "]}", ",", _exps_text
     else:
-        head, mid, open_, close, sep = "[", " ", "] * ", "", " + "
-        names = [_FactorNames(f"x{i + 1}") for i in range(n)]
-    name = dict.__getitem__
+        head, mid, open_, close, sep, write = "[", " ", "] * ", "", " + ", _factors_text
     cut = (n + 1) // 2
     lo_bits = FIELD_BITS * (n - cut)
     lo_mask, hi_mask = (1 << lo_bits) - 1, (1 << (FIELD_BITS * cut)) - 1
     hi_text: dict[int, str] = {}
     lo_text: dict[int, str] = {}
-    heads: dict[int, str] = {}  # head plus the zero coefficients below a beta power
     chunks: list[str] = []
     chunk: list[str] = []
     append = chunk.append
     run = None
-    text = tail = ""
-    last = 0
     for k in sorted(terms):
         xk = k >> FIELD_BITS
         bp = k & _FIELD
@@ -560,16 +541,14 @@ def _serialize(f: MultiPoly, as_json: bool) -> str:
                 chunks.append(sep.join(chunk))
                 chunk.clear()
         run, last = xk, bp
-        start = heads.get(bp)
-        if start is None:
-            start = heads[bp] = head + "0," * bp
-        text = start + str(terms[k])
+        text = head + "0," * bp + str(terms[k])
         hi, lo = (xk >> lo_bits) & hi_mask, xk & lo_mask
-        t_hi, t_lo = hi_text.get(hi), lo_text.get(lo)
-        if t_hi is None or t_lo is None:
-            e = exps(xk)
-            t_hi = hi_text[hi] = mid.join(filter(None, map(name, names[:cut], e[:cut])))
-            t_lo = lo_text[lo] = mid.join(filter(None, map(name, names[cut:], e[cut:])))
+        t_hi = hi_text.get(hi)
+        if t_hi is None:
+            t_hi = hi_text[hi] = write(exps(xk)[:cut], 1)
+        t_lo = lo_text.get(lo)
+        if t_lo is None:
+            t_lo = lo_text[lo] = write(exps(xk)[cut:], cut + 1)
         factors = t_hi + mid + t_lo if t_hi and t_lo else t_hi or t_lo
         tail = open_ + factors + close if factors else "]"
     if run is not None:

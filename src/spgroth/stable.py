@@ -249,12 +249,13 @@ def _apply_pi_truncated(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> Mul
 
 def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """Shape series at the window: the isobaric long-word image pi_{w0} of
-    x^lam in nvars variables, zero when lam has more rows than nvars.  x^lam
-    is symmetric wherever parts repeat (trailing zeros included), so only
-    the quotient w0 * w0_J acts, J the blocks of equal parts."""
+    x^lam in nvars variables, zero when lam has more rows than nvars or
+    |lam| exceeds maxdeg, since the series has no term below degree |lam|.
+    x^lam is symmetric wherever parts repeat (trailing zeros included), so
+    only the quotient w0 * w0_J acts, J the blocks of equal parts."""
     lam = as_partition(lam)
     n = win.nvars
-    if len(lam) > n:
+    if len(lam) > n or sum(lam) > win.maxdeg:
         return MultiPoly.zero(n)
     exps = lam + (0,) * (n - len(lam))
     cuts = (0, *(j for j in range(1, n) if exps[j - 1] > exps[j]), n)

@@ -330,11 +330,15 @@ class TestArgparseSurface:
 # the rank-10 top element, the largest closed product, recorded while that
 # product was still a chain of generic products; the rank-4 stable sweep
 # was re-recorded when it stopped repeating, at offset 2, the computations
-# of its offset-0 cases; the last two, a one-row shifted shape at the
+# of its offset-0 cases; the two one-row shifted shapes, one at the
 # largest exponent in range ("[1] * x1^16383") and one with more cells than
 # the window's degree ("0"), were recorded when GP began to sum packed keys:
 # the first as GP printed it while it still decoded its tableau keys, the
-# second where that route ran out of memory; every op exits 0
+# second where that route ran out of memory; the JSON text of the wide
+# rank-10 element was recorded while the serializer still memoized the text
+# of each exponent; the last two, one-row G series with more cells than the
+# window's degree ("0"), were recorded when they stopped exiting 3 for
+# building x^lam before the degree check; every op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -408,6 +412,12 @@ PINNED_OUTPUT = [
      "84cbf2390c4a343cbbf447c3df9f13c4a0970b8d78e91c257d5a9f6f575c0683"),
     ("compute GP 9999999999 --nvars 1 --maxdeg 5",
      "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("compute sp-groth 9,10,8,7,6,5,4,3,1,2 --format json",
+     "e0650a9ca79aae768cb8184f2c021934e70159a34638ae914b32ebf02704e317"),
+    ("compute G 16384 --nvars 1 --maxdeg 5",
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("compute G 9999999999 --nvars 1 --maxdeg 5",
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
 ]
 
 # sha256 over (one-line word, nvars, text) of the 34 rank-10 involutions of
@@ -459,7 +469,8 @@ class TestPackedRange:
 # shapes past the exponent limit, with the text the 16384 case had while GP
 # still decoded its tableau keys: the first exponent at which a 16-bit key
 # field would carry, and two shapes too large to list their cells, the
-# second past 64 bits
+# second past 64 bits; and a one-row G series inside the window's degree but
+# past the exponent limit, recorded when larger ones began to print 0
 PINNED_ERRORS = [
     ("expand groth 4321 --max-expansion-degree 2",
      "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
@@ -491,6 +502,9 @@ PINNED_ERRORS = [
      "(exponents -16384..16383, beta powers 0..32767)\n"),
     ("compute GP 18446744073709551616 --nvars 1 --maxdeg 36893488147419103232",
      "error: exponent 18446744073709551616 outside the packed range "
+     "(exponents -16384..16383, beta powers 0..32767)\n"),
+    ("compute G 9999999999 --nvars 1 --maxdeg 99999999999",
+     "error: exponent 9999999999 outside the packed range "
      "(exponents -16384..16383, beta powers 0..32767)\n"),
 ]
 

@@ -236,9 +236,19 @@ class TestStableGrothPartition:
                     assert got.nvars == want.nvars == win.nvars, (lam, win)
                     assert got.canonical_text() == want.canonical_text(), (lam, win)
 
-    def test_zero_beyond_nvars(self):
+    def test_zero_beyond_nvars(self, monkeypatch):
+        # with more rows than variables, or more cells than maxdeg (the
+        # series has no term below degree |lam|), the series is zero before
+        # x^lam is built, even where x^lam is outside the packed range, and
+        # no isobaric step runs
+        def no_isobaric(*args):
+            raise AssertionError("isobaric step on a shape with too many rows or cells")
+
+        monkeypatch.setattr(stable, "isobaric", no_isobaric)
         for lam, win in [((1, 1, 1), Window(2, 5)), ((2, 1), Window(1, 3)),
-                         ((3, 3, 2, 1), Window(3, 12))]:
+                         ((3, 3, 2, 1), Window(3, 12)), ((2, 1), Window(3, 2)),
+                         ((3, 3), Window(2, 5)), ((6,), Window(1, 5)),
+                         ((16384,), Window(1, 5)), ((9999999999,), Window(1, 5))]:
             f = stable_groth_partition(lam, win)
             assert not f and f.nvars == win.nvars, (lam, win)
 
