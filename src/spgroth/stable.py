@@ -2,12 +2,17 @@
 
 Stable limits are isobaric long-word images pi_{w0}, taken over a parabolic
 quotient: the shape series G_lam is pi_{w0} of x^lam, and the stable limit
-of a permutation is pi_{w0} of its polynomial.  Set-valued tableaux remain
-only for the shifted shape series GP_lam; ordinary set-valued tableaux are
-the test oracle for G_lam.  Both come from one engine, _fillings, which
-shares each cell's list of allowed subsets between the nodes that ask for
-it; GP_lam counts each tableau under its packed monomial key, a sum of
-per-cell offsets, with no decoding.
+of a permutation is pi_{w0} of its polynomial.  Every term of a family
+polynomial has degree at least the length of its index, and an isobaric
+step never lowers a degree, so a stable limit whose index is longer than
+the window's degree bound is zero and is returned before any polynomial is
+built.  Set-valued tableaux remain only for the shifted shape series
+GP_lam: one generator, shifted_set_valued_tableaux, yields each tableau as
+a tuple of letter sets and shares each cell's list of allowed subsets
+between the nodes that ask for it; GP_lam counts each tableau under its
+packed monomial key, a sum of per-cell offsets, with no decoding.
+Ordinary set-valued tableaux are the test oracle for G_lam and live in the
+tests.
 
 Symmetric-series identities are always asserted "at a window": in the
 variables x_1..nvars, modulo terms of total degree above maxdeg.  Expansion
@@ -22,7 +27,7 @@ import itertools
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .coxeter import (
     FpfInvolution,
@@ -30,9 +35,11 @@ from .coxeter import (
     ShiftedFpfInvolution,
     as_partition,
     as_strict_partition,
+    fpf_length,
     fpf_transition_indices,
     is_fpf_grassmannian,
     partitions_of,
+    perm_length,
     reduced_word,
     sp_shape,
 )
@@ -82,17 +89,18 @@ class Window:
 # ---------------------------------------------------------------------------
 
 
-def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_weight: int):
-    """Set-valued fillings of the cells (listed so that each cell comes after
-    its left and upper neighbours) by nonempty subsets of their letter
-    pools, with at most max_weight letters in total.  Letters are marked:
-    value v primed is 2v - 1 and unprimed is 2v, so integer order matches
-    1' < 1 < 2' < 2 < ...  Along a row min(here) >= max(left), strictly when
+def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
+    """Semistandard shifted set-valued tableaux of the strict shape with
+    marked letters of value at most nvars and at most max_weight letters in
+    total.  Letters are marked: value v primed is 2v - 1 and unprimed is 2v,
+    so integer order matches 1' < 1 < 2' < 2 < ...  Each cell holds a
+    nonempty set; along a row min(here) >= max(left), strictly when
     max(left) is primed; down a column min(here) >= max(above), strictly
-    unless max(above) is primed.  Yields per cell a sorted tuple, as a dict
-    keyed by cell.  Each filling comes once, in lexicographic order of its
-    cell sequence, a cell's subsets ordered by size and then
-    lexicographically.
+    unless max(above) is primed; the diagonal holds no primed letter.
+    Yields each tableau as a tuple of sorted letter tuples, one per cell,
+    cells read row by row from the diagonal.  Each tableau comes once, in
+    lexicographic order of its cell sequence, a cell's subsets ordered by
+    size and then lexicographically.
 
     Iterative: a stack of per-cell subset iterators, so deep shapes need no
     recursion.  A cell's allowed subsets depend only on its lower bound and
@@ -100,11 +108,13 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_we
     each cell after it), so the tuple for each (cell, lower bound, budget)
     is built once and shared by every node that asks for it; the memo is
     local to the call and freed with the generator.  The last cell is a
-    plain loop over its tuple, with no stack push per filling, and each
-    filling copies a dict of the other cells made once per parent."""
+    plain loop over its tuple, with no stack push per tableau, and each
+    tableau extends a tuple of the other cells made once per parent."""
+    shape = as_strict_partition(shape)
+    cells = [(i, i + j) for i, part in enumerate(shape) for j in range(part)]
     ncells = len(cells)
     if ncells == 0:
-        yield {}
+        yield ()
         return
     if max_weight < ncells:
         return
@@ -113,6 +123,8 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_we
     # which is primed and so bounds neither a row nor a column
     left = [index.get((i, j - 1), ncells) for i, j in cells]
     above = [index.get((i - 1, j), ncells) for i, j in cells]
+    letters = tuple(range(1, 2 * nvars + 1))
+    pools = [letters[1::2] if i == j else letters for i, j in cells]
     chosen: list[tuple[int, ...]] = [()] * ncells + [(-1,)]
     used = [0] * ncells  # letters in the cells before each cell
     memo: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
@@ -133,10 +145,9 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_we
         return subsets
 
     last = ncells - 1
-    last_cell = cells[last]
     if last == 0:
         for subset in options(0):
-            yield {last_cell: subset}
+            yield (subset,)
         return
     stack = [iter(options(0))]
     while stack:
@@ -152,43 +163,9 @@ def _fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_we
             continue
         leaves = options(last)
         if leaves:
-            prefix = dict(zip(cells, chosen[:last]))
+            prefix = tuple(chosen[:last])
             for leaf in leaves:
-                tab = prefix.copy()
-                tab[last_cell] = leaf
-                yield tab
-
-
-def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
-    """Semistandard shifted set-valued fillings of the strict shape with
-    marked letters of value at most nvars and at most max_weight letters.
-    Rows may share only unprimed letters, columns only primed ones; primed
-    letters are excluded from the diagonal."""
-    shape = as_strict_partition(shape)
-    cells = [(i, i + j - 1) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
-    letters = tuple(range(1, 2 * nvars + 1))
-    unprimed = tuple(range(2, 2 * nvars + 1, 2))
-    pools = [letters if i != j else unprimed for i, j in cells]
-    yield from _fillings(cells, pools, max_weight)
-
-
-class _LetterSetOffsets(dict):
-    """Offset of a set S of marked letters from the packed key of 1: the
-    key of beta^(|S| - 1) x^content(S) less that of 1, made on first use.
-    Keys are linear in their fields, so while no field carries, the key of
-    a product is the key of 1 plus its factors' offsets."""
-
-    def __init__(self, layout):
-        super().__init__()
-        self.layout = layout
-
-    def __missing__(self, subset: tuple[int, ...]) -> int:
-        exps = [0] * self.layout.nvars
-        for m in subset:
-            exps[(m - 1) // 2] += 1
-        offset = self[subset] = (self.layout.pack(len(subset) - 1, tuple(exps))
-                                 - self.layout.zero)
-        return offset
+                yield prefix + (leaf,)
 
 
 def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
@@ -199,7 +176,9 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     |lam| exceeds maxdeg, since every cell holds a letter.
 
     Each tableau is counted under its packed key, the key of 1 plus its
-    cells' offsets (see _LetterSetOffsets), and no field carries.  A value
+    cells' offsets, and no field carries: the offset of a cell's letter set
+    S is the key of beta^(|S| - 1) x^content(S) less that of 1, made once
+    per call, and keys are linear in their fields while none carries.  A value
     is unprimed at most once per column and primed at most once per row, so
     an exponent is at most 2 lam_1; lam_1 > EXP_MAX raises at once, as the
     row filling (row i all i) gives the term x^lam.  Tableaux stop one beta
@@ -213,9 +192,16 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     if lam and lam[0] > EXP_MAX:
         raise ExponentRangeError(f"exponent {lam[0]}")
     layout = _layout(n)
-    offsets = _LetterSetOffsets(layout).__getitem__
+
+    @cache
+    def offset(subset: tuple[int, ...]) -> int:
+        exps = [0] * n
+        for m in subset:
+            exps[(m - 1) // 2] += 1
+        return layout.pack(len(subset) - 1, tuple(exps)) - layout.zero
+
     max_weight = min(win.maxdeg, sum(lam) + BETA_MAX + 1)
-    terms = dict(Counter(sum(map(offsets, tab.values()), layout.zero)
+    terms = dict(Counter(sum(map(offset, tab), layout.zero)
                          for tab in shifted_set_valued_tableaux(lam, n, max_weight)))
     layout.check(terms)
     return MultiPoly._raw(n, terms)
@@ -268,7 +254,11 @@ def stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     support) variables and then restricted.  Only the parabolic quotient
     u = w0 * w0_J of the long word is applied, J the ascents of w in
     1..n-1: the polynomial is symmetric at each ascent, where the isobaric
-    operator acts as the identity.  Exact at the window."""
+    operator acts as the identity.  Exact at the window; zero when the
+    length of w exceeds maxdeg, since every term of the polynomial has
+    degree at least that length."""
+    if perm_length(w) > win.maxdeg:
+        return MultiPoly.zero(win.nvars)
     n = max(win.nvars, w.support)
     word = _quotient_word((0, *w.descents(), n))
     f = _apply_pi_truncated(word, grothendieck(w).embed(n), win.maxdeg)
@@ -287,9 +277,13 @@ def gp_sp(z: FpfInvolution, win: Window) -> MultiPoly:
     """Symplectic stable limit at the window, by expanding in the
     permutation basis and stabilizing term by term.  Coefficients on indices
     of length above maxdeg are censored; their stable images vanish at the
-    window.  The terms are window values, so their sum is one too.  The
-    recurrences ask for the same (z, window) many times, so the last few
-    hundred results are kept."""
+    window.  The terms are window values, so their sum is one too.  Zero
+    when the fpf length of z exceeds maxdeg, since every term of the
+    polynomial has degree at least that length.  The recurrences ask for
+    the same (z, window) many times, so the last few hundred results are
+    kept."""
+    if fpf_length(z) > win.maxdeg:
+        return MultiPoly.zero(win.nvars)
     return _gp_sp_cached(z.oneline, win.nvars, win.maxdeg)
 
 

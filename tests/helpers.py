@@ -44,7 +44,7 @@ from spgroth.polyring import (
     oplus,
     truncate,
 )
-from spgroth.stable import Window, _fillings, _gp_operand
+from spgroth.stable import Window, _gp_operand
 
 
 def oracle_inversions(word) -> int:
@@ -366,7 +366,7 @@ def oracle_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: i
     shape = as_partition(shape)
     cells = [(i, j) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
     unprimed = tuple(range(2, 2 * nvars + 1, 2))
-    for tab in _fillings(cells, [unprimed] * len(cells), max_weight):
+    for tab in oracle_fillings(cells, [unprimed] * len(cells), max_weight):
         yield {cell: tuple(m // 2 for m in subset) for cell, subset in tab.items()}
 
 
@@ -386,14 +386,18 @@ def oracle_stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPol
 
 
 # The tableau engine before its option lists were memoized: a stack of fresh
-# per-cell subset iterators, rebuilt at every node, and the shifted shape
-# series summed over exponent lists.  Oracles for the order of the fillings
-# and for the series.
+# per-cell subset iterators over any cells and letter pools, rebuilt at every
+# node, and the shifted shape series summed over exponent lists.  Oracles
+# for the order of the shifted tableaux, for the series, and the filler of
+# the ordinary set-valued tableaux above.
 
 
 def oracle_fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], max_weight: int):
-    """The fillings of the library's _fillings, in its order: per cell a
-    sorted tuple, as a dict keyed by cell."""
+    """Set-valued fillings of the cells (each after its left and upper
+    neighbours) by nonempty subsets of their letter pools, with at most
+    max_weight letters, under the marked-letter rules of the library's
+    shifted_set_valued_tableaux and in its order: per cell a sorted tuple,
+    as a dict keyed by cell."""
     ncells = len(cells)
     if ncells == 0:
         yield {}
@@ -439,7 +443,7 @@ def oracle_gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """The shifted shape series at the window as the sum of beta^(letters -
     |lam|) x^content over the shifted set-valued tableaux, one exponent list
     per tableau.  The tableaux come from oracle_fillings, on the cells and
-    pools of the library's shifted_set_valued_tableaux."""
+    letter pools that the library's shifted_set_valued_tableaux builds."""
     lam = as_strict_partition(lam)
     weight = sum(lam)
     cells = [(i, i + j - 1) for i in range(1, len(lam) + 1) for j in range(1, lam[i - 1] + 1)]

@@ -26,7 +26,6 @@ from spgroth.polyring import (
 )
 from spgroth.stable import (
     Window,
-    _fillings,
     _unframe,
     expand_in_G_basis,
     expand_in_GP_basis,
@@ -188,7 +187,7 @@ class TestTableauEngineAgainstBruteForce:
                 pools = [tuple(m for m in range(1, 2 * nvars + 1) if i != j or m % 2 == 0)
                          for i, j in cells]
                 for max_weight in range(max(len(cells) - 1, 0), len(cells) + 3):
-                    got = sorted(tuple(t.items())
+                    got = sorted(tuple(zip(cells, t))
                                  for t in shifted_set_valued_tableaux(shape, nvars, max_weight))
                     want = sorted(oracle_tableaux(cells, pools, max_weight,
                                                   _marked_le, _marked_col))
@@ -196,29 +195,22 @@ class TestTableauEngineAgainstBruteForce:
 
 
 class TestFillingsAgainstOracle:
-    """The memoized engine yields the fillings of the old stack loop, in the
-    same order, including shapes too small for the weight bound."""
-
-    @staticmethod
-    def _check(cells, pools):
-        for max_weight in range(max(len(cells) - 1, 0), len(cells) + 4):
-            got = list(_fillings(cells, pools, max_weight))
-            assert got == list(oracle_fillings(cells, pools, max_weight)), (cells, max_weight)
-
-    def test_ordinary(self):
-        for size in range(7):
-            for shape in partitions_of(size):
-                cells = _rows(shape)
-                for nvars in (1, 2, 3):
-                    self._check(cells, [tuple(range(2, 2 * nvars + 1, 2))] * len(cells))
+    """The memoized generator yields the tableaux of the old stack loop, in
+    the same order, cells read row by row, including shapes too small for
+    the weight bound."""
 
     def test_shifted(self):
         for size in range(7):
             for shape in partitions_of(size, strict=True):
                 cells = _shifted_rows(shape)
                 for nvars in (1, 2, 3):
-                    self._check(cells, [tuple(m for m in range(1, 2 * nvars + 1)
-                                              if i != j or m % 2 == 0) for i, j in cells])
+                    pools = [tuple(m for m in range(1, 2 * nvars + 1) if i != j or m % 2 == 0)
+                             for i, j in cells]
+                    for max_weight in range(max(size - 1, 0), size + 4):
+                        got = [dict(zip(cells, tab))
+                               for tab in shifted_set_valued_tableaux(shape, nvars, max_weight)]
+                        want = list(oracle_fillings(cells, pools, max_weight))
+                        assert got == want, (shape, nvars, max_weight)
 
 
 class TestStableGrothPartition:
@@ -289,6 +281,18 @@ class TestStableGrothPerm:
             for win in (Window(4, 6), Window(6, 8)):
                 assert stable_groth_perm(w, win) == long_word_stable_groth_perm(w, win), (w, win)
 
+    def test_zero_past_length(self, monkeypatch):
+        # every term of the polynomial has degree at least the length, so
+        # past maxdeg the limit is zero before any polynomial is built
+        def no_polynomial(*args):
+            raise AssertionError("built the polynomial of a permutation longer than maxdeg")
+
+        monkeypatch.setattr(stable, "grothendieck", no_polynomial)
+        for word, win in [("321", Window(3, 2)), ("54321", Window(2, 9)),
+                          (",".join(map(str, range(30, 0, -1))), Window(4, 6))]:
+            f = stable_groth_perm(parse_permutation(word), win)
+            assert not f and f.nvars == win.nvars, (word, win)
+
     def test_exact_stabilization(self):
         # restriction of the padded polynomial agrees exactly, not only
         # modulo degree, with the isobaric image
@@ -303,20 +307,25 @@ class TestStableGrothPerm:
 
 
 class TestShiftedTableaux:
+    @staticmethod
+    def _tableaux(shape, nvars, max_weight):
+        # keyed by (row, column) of the shifted shape
+        cells = _shifted_rows(shape)
+        return [dict(zip(cells, t)) for t in shifted_set_valued_tableaux(shape, nvars, max_weight)]
+
     def test_single_cell_diagonal_unprimed(self):
-        tabs = list(shifted_set_valued_tableaux((1,), 2, 3))
+        tabs = self._tableaux((1,), 2, 3)
         assert sorted(t[(1, 1)] for t in tabs) == [(2,), (2, 4), (4,)]
 
     def test_row_sharing_only_unprimed(self):
-        tabs = {(t[(1, 1)], t[(1, 2)]) for t in shifted_set_valued_tableaux((2,), 2, 2)}
+        tabs = {(t[(1, 1)], t[(1, 2)]) for t in self._tableaux((2,), 2, 2)}
         assert ((2,), (2,)) in tabs        # unprimed may repeat along a row
         assert ((3,), (3,)) not in tabs    # primed may not
         assert ((2,), (3,)) in tabs and ((2,), (4,)) in tabs
 
     def test_column_sharing_only_primed(self):
         # column 3 of the shifted shape (3, 2) lies off the diagonal
-        tabs = {(t[(1, 3)], t[(2, 3)])
-                for t in shifted_set_valued_tableaux((3, 2), 3, 5)}
+        tabs = {(t[(1, 3)], t[(2, 3)]) for t in self._tableaux((3, 2), 3, 5)}
         assert ((5,), (5,)) in tabs        # primed 3' may repeat down a column
         assert ((4,), (4,)) not in tabs    # unprimed 2 may not
 
@@ -417,6 +426,20 @@ class TestGpSp:
         # the public function stays a plain function, which tracing wraps
         assert inspect.isfunction(gp_sp)
         stable._gp_sp_cached.cache_clear()
+
+    def test_zero_past_fpf_length(self, monkeypatch):
+        # every term of the polynomial has degree at least the fpf length,
+        # so past maxdeg the limit is zero before any polynomial is built,
+        # even for an element far too large to build
+        def no_polynomial(*args):
+            raise AssertionError("built the polynomial of an element longer than maxdeg")
+
+        monkeypatch.setattr(stable, "sp_grothendieck", no_polynomial)
+        for word, win in [("4321", Window(3, 1)), ("654321", Window(2, 5)),
+                          ("9,10,8,7,6,5,4,3,1,2", Window(4, 18)),
+                          (",".join(map(str, range(40, 0, -1))), Window(4, 6))]:
+            f = gp_sp(parse_fpf(word), win)
+            assert not f and f.nvars == win.nvars, (word, win)
 
 
 class TestWindowSymmetryOfAllProducers:
