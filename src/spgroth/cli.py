@@ -2,14 +2,15 @@
 
 verify decides one case of an identity, and sweep every case at a rank,
 through the same _check.  Output is canonical and byte-identical across
-runs.  Exit codes: 0 success, 2 parse error, 3 precondition violation, 4
-verification failure.
+runs.  Exit codes: 0 success, 1 standard output closed early (as by
+`| head`), 2 parse error, 3 precondition violation, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
@@ -63,14 +64,20 @@ def _json(fields: dict) -> str:
 
 
 def _emit_poly(f: MultiPoly, args, meta: dict) -> None:
+    """Write the polynomial a chunk of terms at a time, so its whole text
+    never exists in memory."""
+    write = sys.stdout.write
     if args.format == "json":
         header = _json({**meta, "nvars": f.nvars, "terms": []})
         # the terms array is serialized as text, in the dump's own format, and
         # spliced in; a string value escapes its quotes, so the key is found
         before, _, after = header.rpartition('"terms":[]')
-        print(before, '"terms":', f.canonical_json_terms(), after, sep="")
+        write(before + '"terms":')
+        f.canonical_json_terms(write)
+        write(after + "\n")
     else:
-        print(f.canonical_text())
+        f.canonical_text(write)
+        write("\n")
 
 
 def _emit_expansion(rows, args, meta: dict) -> None:
@@ -293,7 +300,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output; what is still buffered would
+        # fail again at exit, so it goes to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

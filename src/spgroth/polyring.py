@@ -47,10 +47,12 @@ are its high part plus those of the nonzero low slots.
 
 Tuples stay at the boundary: the constructor accepts {(beta_power,
 exponents): c}, and the queries return exponent tuples.  Both serialized
-forms, the canonical text and the JSON terms array, are written by one
-chunked pass over the sorted keys, which are already in the canonical
-order.  All arithmetic is exact integer arithmetic; no coefficient ring
-beyond Z[beta] is supported.  Serialized output is bit-stable across runs.
+forms, the canonical text and the JSON terms array, come from one pass over
+the sorted keys, which are already in the canonical order.  Given a write
+callable, the serializers pass it the text in pieces of at most _CHUNK whole
+terms and return None, so the whole text is never held.  All arithmetic is
+exact integer arithmetic; no coefficient ring beyond Z[beta] is supported.
+Serialized output is bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import and_, mul, or_
 from typing import Callable, Iterable, Iterator
 
@@ -473,22 +475,31 @@ class MultiPoly:
 
     # -- canonical serialization --------------------------------------------
 
-    def canonical_text(self) -> str:
+    def canonical_text(self, write: Callable[[str], object] | None = None) -> str | None:
         """The terms in the canonical order, each its Z[beta]-coefficient in
         bracket form with its x-factors, joined by " + "; "0" for the zero
-        polynomial."""
-        return _serialize(self, as_json=False) or "0"
+        polynomial.  Given write, the pieces go to it and None is returned."""
+        return _emit(_serialize(self, as_json=False) if self.terms else ("0",), write)
 
-    def canonical_json_terms(self) -> str:
+    def canonical_json_terms(self, write: Callable[[str], object] | None = None) -> str | None:
         """The terms in the canonical order as the text of a JSON array of
-        {"beta": [...], "exps": [...]} objects, keys sorted, no spaces."""
-        return "[" + _serialize(self, as_json=True) + "]"
+        {"beta": [...], "exps": [...]} objects, keys sorted, no spaces.
+        Given write, the pieces go to it and None is returned."""
+        return _emit(chain(("[",), _serialize(self, as_json=True), ("]",)), write)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.canonical_text()!r})"
 
 
-_CHUNK = 2048  # terms joined per chunk before the chunks are joined
+_CHUNK = 2048  # terms joined per piece of serialized text
+
+
+def _emit(pieces: Iterable[str], write: Callable[[str], object] | None) -> str | None:
+    """The pieces joined, or None once each has gone to write."""
+    if write is None:
+        return "".join(pieces)
+    for piece in pieces:
+        write(piece)
 
 
 def _factors_text(exps: tuple[int, ...], first: int) -> str:
@@ -501,17 +512,18 @@ def _exps_text(exps: tuple[int, ...], first: int) -> str:
     return ",".join(map(str, exps))
 
 
-def _serialize(f: MultiPoly, as_json: bool) -> str:
-    """The terms of f in the canonical order as text, joined by " + ", or
-    as JSON objects, joined by ","; "" for the zero polynomial.
+def _serialize(f: MultiPoly, as_json: bool) -> Iterator[str]:
+    """Yield the terms of f in the canonical order as text, joined by " + ",
+    or as JSON objects, joined by ","; nothing for the zero polynomial.
 
     One pass over the sorted keys.  The keys of one x-monomial are adjacent,
     with their beta powers increasing, so each run extends the dense
     coefficient text of its monomial.  The monomial's text is memoized per
     half, x_1..x_cut and the rest: each half takes far fewer values than the
     whole.  A miss writes the half from its exponents, by _factors_text or
-    _exps_text.  Terms are joined a chunk at a time, so no list of every
-    term's text exists beside the result."""
+    _exps_text.  Each piece yielded is one chunk of at most _CHUNK terms,
+    joined, or the separator between two chunks; a run of beta powers is one
+    term, never split across chunks."""
     n = f.nvars
     terms = f.terms
     exps = _layout(n).exps
@@ -524,7 +536,6 @@ def _serialize(f: MultiPoly, as_json: bool) -> str:
     lo_mask, hi_mask = (1 << lo_bits) - 1, (1 << (FIELD_BITS * cut)) - 1
     hi_text: dict[int, str] = {}
     lo_text: dict[int, str] = {}
-    chunks: list[str] = []
     chunk: list[str] = []
     append = chunk.append
     run = None
@@ -538,7 +549,8 @@ def _serialize(f: MultiPoly, as_json: bool) -> str:
         if run is not None:
             append(text + tail)
             if len(chunk) == _CHUNK:
-                chunks.append(sep.join(chunk))
+                yield sep.join(chunk)
+                yield sep
                 chunk.clear()
         run, last = xk, bp
         text = head + "0," * bp + str(terms[k])
@@ -553,8 +565,7 @@ def _serialize(f: MultiPoly, as_json: bool) -> str:
         tail = open_ + factors + close if factors else "]"
     if run is not None:
         append(text + tail)
-        chunks.append(sep.join(chunk))
-    return sep.join(chunks)
+        yield sep.join(chunk)
 
 
 # -- operators --------------------------------------------------------------

@@ -1,7 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,9 +14,9 @@ import pytest
 import spgroth.cli as cli
 import spgroth.stable as st
 from spgroth.cli import main
-from spgroth.coxeter import ShiftedFpfInvolution, all_fpf_involutions, fpf_length
+from spgroth.coxeter import FpfInvolution, ShiftedFpfInvolution, all_fpf_involutions, fpf_length
 from spgroth.grothendieck import TransitionCheck, sp_grothendieck
-from spgroth.polyring import EXP_MAX, MultiPoly
+from spgroth.polyring import _CHUNK, EXP_MAX, MultiPoly
 
 
 def run(capsys, *argv):
@@ -66,6 +71,79 @@ class TestCompute:
                                  "--maxdeg", "1500")
             assert code == 0, err
             assert out == "[1] * x1^1500\n"
+
+
+class _Recorder(io.TextIOBase):
+    """A standard output that keeps each write."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+class TestStreamedOutput:
+    # the top element of rank 8: 9,501 terms, about 380 KB of text
+    ELEMENT = "87654321"
+
+    def _writes(self, *options):
+        sink = _Recorder()
+        with contextlib.redirect_stdout(sink):
+            assert main(["compute", "sp-groth", self.ELEMENT, *options]) == 0
+        return sink.writes
+
+    def test_chunked_writes(self):
+        f = sp_grothendieck(FpfInvolution.top(8))
+        assert len(f.terms) > 2 * _CHUNK
+        writes = self._writes()
+        assert len(writes) > 1
+        assert max(piece.count("[") for piece in writes) <= _CHUNK
+        assert "".join(writes) == f.canonical_text() + "\n"
+        writes = self._writes("--format", "json")
+        assert len(writes) > 1
+        assert max(piece.count('{"beta"') for piece in writes) <= _CHUNK
+        assert "".join(writes) == cli._json(
+            {"command": "compute", "object": "sp-groth", "element": self.ELEMENT,
+             "nvars": f.nvars, "terms": json.loads(f.canonical_json_terms())}) + "\n"
+
+    @staticmethod
+    def _spawn(argv, stdout):
+        # stdout block-buffered, as when run by hand, so that the flush at
+        # exit is reached
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        return subprocess.Popen([sys.executable, "-m", "spgroth.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    @staticmethod
+    def _quiet_exit_1(proc):
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_pipe_closed_while_writing(self, fmt):
+        # the output is larger than a pipe's buffer, so the child is still
+        # writing when the reader goes
+        proc = self._spawn(["compute", "sp-groth", self.ELEMENT, "--format", fmt],
+                           subprocess.PIPE)
+        assert len(proc.stdout.read(40)) == 40
+        proc.stdout.close()
+        self._quiet_exit_1(proc)
+
+    def test_pipe_closed_before_flush(self):
+        # a short output waits in the buffer until the flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = self._spawn(["compute", "sp-groth", "3412"], write_end)
+        os.close(write_end)
+        self._quiet_exit_1(proc)
 
 
 class TestExpand:
@@ -154,7 +232,7 @@ class TestVerify:
         calls = []
         text = MultiPoly.canonical_text
         monkeypatch.setattr(MultiPoly, "canonical_text",
-                            lambda f: calls.append(f) or text(f))
+                            lambda f, *write: calls.append(f) or text(f, *write))
         for command in (("lenart-transition", "13452", "--k", "3"),
                         ("sp-transition", "351624", "--j", "1", "--k", "3"),
                         ("sp-recurrence", "4321"),

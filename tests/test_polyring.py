@@ -800,6 +800,13 @@ class TestPackedRange:
                           (BETA_MAX, (1, 1)): 1})
 
 
+def streamed(serializer) -> list[str]:
+    """The pieces a serializer passes to its write callable; it returns None."""
+    pieces: list[str] = []
+    assert serializer(pieces.append) is None
+    return pieces
+
+
 class TestSerialization:
     def test_canonical_text(self):
         f = oplus(X(1, 2), X(2, 2))
@@ -813,6 +820,7 @@ class TestSerialization:
         # unevenly, and one variable leaves the second half empty
         f = MultiPoly(*sized)
         assert f.canonical_text() == oracle_canonical_text(f)
+        assert "".join(streamed(f.canonical_text)) == f.canonical_text()
 
     def test_canonical_text_mixed_beta_coefficients(self):
         f = (X(1, 2) + X(1, 2) * BETA * BETA * 3 - MultiPoly.beta(2) * 2
@@ -824,6 +832,7 @@ class TestSerialization:
     def test_json_matches_term_route(self, sized):
         f = MultiPoly(*sized)
         assert f.canonical_json_terms() == oracle_json_text(f)
+        assert "".join(streamed(f.canonical_json_terms)) == f.canonical_json_terms()
         for t in oracle_json_obj(f):
             assert f.coefficient(t["exps"]).coeffs == tuple(t["beta"])
 
@@ -850,11 +859,26 @@ class TestSerialization:
         # a chunk filled exactly, and one term past it
         for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK):
             polys.append(MultiPoly(1, {(e % 3, (e,)): e + 1 for e in range(n)}))
+        # runs of one to three beta powers on each side of every chunk edge
+        polys.append(MultiPoly(2, {(b, (e, 1)): e + b + 1 for e in range(2 * _CHUNK + 1)
+                                   for b in range(e % 3 + 1)}))
         for f in polys:
             assert f.canonical_text() == oracle_canonical_text(f)
             assert f.canonical_json_terms() == oracle_json_text(f)
+            assert "".join(streamed(f.canonical_text)) == f.canonical_text()
+            assert "".join(streamed(f.canonical_json_terms)) == f.canonical_json_terms()
         assert MultiPoly.zero(3).canonical_text() == "0"
         assert MultiPoly.zero(3).canonical_json_terms() == "[]"
+        assert streamed(MultiPoly.zero(3).canonical_text) == ["0"]
+        assert streamed(MultiPoly.zero(3).canonical_json_terms) == ["[", "]"]
+        # whole chunks of terms, each "[...] * ..." or {"beta":...}, with the
+        # separators written between them
+        text = streamed(polys[-1].canonical_text)
+        assert text[1::2] == [" + "] * 2
+        assert [piece.count("] * ") for piece in text[::2]] == [_CHUNK, _CHUNK, 1]
+        json_ = streamed(polys[-1].canonical_json_terms)
+        assert json_[::2] == ["[", ",", ",", "]"]
+        assert [piece.count('{"beta"') for piece in json_[1::2]] == [_CHUNK, _CHUNK, 1]
         assert polys[3].canonical_json_terms() == \
             '[{"beta":[2,0,-1],"exps":[-3]},{"beta":[0,0,0,0,0,7],"exps":[0]},' \
             '{"beta":[0,1],"exps":[4]}]'
