@@ -3,7 +3,8 @@
 verify decides one case of an identity, and sweep every case at a rank,
 through the same _check.  Output is canonical and byte-identical across
 runs.  Exit codes: 0 success, 1 standard output closed early (as by
-`| head`), 2 parse error, 3 precondition violation, 4 verification failure.
+`| head`), 2 parse error, 3 precondition violation or memory exhausted,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import coxeter as cx
 from . import stable as st
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 3
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+
+from ._frozen import _Frozen
 
 
 def theta(i: int) -> int:
@@ -27,17 +28,16 @@ def theta(i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Permutation:
-    oneline: tuple[int, ...] = ()
+class Permutation(_Frozen):
+    __slots__ = ("oneline",)
 
-    def __post_init__(self):
-        w = self.oneline
-        n = len(w)
-        if sorted(w) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation word: {w}")
-        if n and w[-1] == n:
-            raise ValueError(f"not canonical (trailing fixed point): {w}")
+    def __init__(self, oneline: tuple[int, ...] = ()):
+        n = len(oneline)
+        if sorted(oneline) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation word: {oneline}")
+        if n and oneline[-1] == n:
+            raise ValueError(f"not canonical (trailing fixed point): {oneline}")
+        object.__setattr__(self, "oneline", oneline)
 
     @staticmethod
     def from_oneline(word) -> "Permutation":
@@ -193,12 +193,11 @@ def _trim_theta_pairs(word: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     return tuple(word[:n])
 
 
-@dataclass(frozen=True)
-class FpfInvolution:
-    oneline: tuple[int, ...] = ()
+class FpfInvolution(_Frozen):
+    __slots__ = ("oneline",)
 
-    def __post_init__(self):
-        z = self.oneline
+    def __init__(self, oneline: tuple[int, ...] = ()):
+        z = oneline
         n = len(z)
         if n % 2:
             raise ValueError("fpf involution word must have even length")
@@ -210,6 +209,7 @@ class FpfInvolution:
                 raise ValueError(f"not fixed-point-free involution: {z}")
         if n >= 2 and z[n - 2] == n and z[n - 1] == n - 1:
             raise ValueError(f"not canonical (trailing theta pair): {z}")
+        object.__setattr__(self, "oneline", z)
 
     @staticmethod
     def from_oneline(word) -> "FpfInvolution":
@@ -399,8 +399,7 @@ def all_fpf_involutions(n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftedFpfInvolution:
+class ShiftedFpfInvolution(_Frozen):
     """A Z-indexed fpf involution written as a positive-support involution
     shifted left by an even offset: value(i) = base(i + offset) - offset,
     acting as i -> i - (-1)^i far below the support.  The stored
@@ -410,18 +409,15 @@ class ShiftedFpfInvolution:
     Transition machinery runs on the positive representatives given by
     with_headroom."""
 
-    base: FpfInvolution
-    offset: int = 0
+    __slots__ = ("base", "offset")
 
-    def __post_init__(self):
-        base, off = self.base, self.offset
-        if off % 2 or off < 0:
+    def __init__(self, base: FpfInvolution, offset: int = 0):
+        if offset % 2 or offset < 0:
             raise ValueError("offset must be even and nonnegative")
-        while off >= 2 and base.oneline[:2] == (2, 1):
+        while offset >= 2 and base.oneline[:2] == (2, 1):
             base = FpfInvolution.from_oneline(v - 2 for v in base.oneline[2:])
-            off -= 2
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "offset", off if base.oneline else 0)
+            offset -= 2
+        self._assign(base, offset if base.oneline else 0)
 
     def value(self, i: int) -> int:
         return self.base(i + self.offset) - self.offset

@@ -17,9 +17,9 @@ c * S_w off that part and c * G_w off the remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
+from ._frozen import _Frozen
 from .coxeter import (
     FpfInvolution,
     Permutation,
@@ -171,13 +171,15 @@ def sp_dominant_poly(z: FpfInvolution, nvars: int | None = None) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(_Frozen):
     """A finite basis expansion: (index, coefficient) pairs in basis order.
     The index is a permutation for the permutation basis and a shape (a
     tuple of parts) for the shape-indexed bases."""
 
-    terms: tuple[tuple[object, BetaInt], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[object, BetaInt], ...]):
+        self._assign(terms)
 
     def as_dict(self) -> dict:
         return dict(self.terms)
@@ -261,12 +263,12 @@ def expand_in_grothendieck_basis_censored(f: MultiPoly, cutoff: int) -> Expansio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionCheck:
-    lhs: MultiPoly
-    rhs: MultiPoly
-    equal: bool
-    signed_equal: bool | None = None
+class TransitionCheck(_Frozen):
+    __slots__ = ("lhs", "rhs", "equal", "signed_equal")
+
+    def __init__(self, lhs: MultiPoly, rhs: MultiPoly, equal: bool,
+                 signed_equal: bool | None = None):
+        self._assign(lhs, rhs, equal, signed_equal)
 
 
 def _transposition_products(element, fixed: int, indices, conj) -> dict:
@@ -361,17 +363,12 @@ def verify_sp_transition(v: FpfInvolution, j: int, k: int) -> TransitionCheck:
     return TransitionCheck(lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class RecurrenceCheck:
-    z: FpfInvolution
-    v: FpfInvolution
-    j: int
-    k: int
-    l: int
-    i_list: tuple[int, ...]
-    certified: bool
-    lhs: MultiPoly
-    rhs: MultiPoly
+class RecurrenceCheck(_Frozen):
+    __slots__ = ("z", "v", "j", "k", "l", "i_list", "certified", "lhs", "rhs")
+
+    def __init__(self, z: FpfInvolution, v: FpfInvolution, j: int, k: int, l: int,
+                 i_list: tuple[int, ...], certified: bool, lhs: MultiPoly, rhs: MultiPoly):
+        self._assign(z, v, j, k, l, i_list, certified, lhs, rhs)
 
 
 def _recurrence_step(z: FpfInvolution) -> tuple[int, int, FpfInvolution, int]:

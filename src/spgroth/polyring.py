@@ -59,19 +59,25 @@ from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache, reduce
 from itertools import chain, compress
 from operator import and_, mul, or_
-from typing import Callable, Iterable, Iterator
+
+from ._frozen import _Frozen
 
 
-@dataclass(frozen=True)
-class BetaInt:
+class BetaInt(_Frozen):
     """A polynomial in beta with integer coefficients: coeffs[k] is the
     coefficient of beta^k.  No trailing zeros are stored."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", coeffs[:n] if n < len(coeffs) else coeffs)
 
     @staticmethod
     def of(value: "BetaInt | int") -> "BetaInt":
@@ -84,14 +90,6 @@ class BetaInt:
     @staticmethod
     def beta() -> "BetaInt":
         return BetaInt((0, 1))
-
-    def __post_init__(self):
-        coeffs = self.coeffs
-        n = len(coeffs)
-        while n and coeffs[n - 1] == 0:
-            n -= 1
-        if n < len(coeffs):
-            object.__setattr__(self, "coeffs", coeffs[:n])
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

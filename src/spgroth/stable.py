@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
+from ._frozen import _Frozen
 from .coxeter import (
     FpfInvolution,
     Permutation,
@@ -67,17 +67,16 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Frozen):
     """Finite probe of a symmetric power series: number of variables and a
     total-degree bound."""
 
-    nvars: int
-    maxdeg: int
+    __slots__ = ("nvars", "maxdeg")
 
-    def __post_init__(self):
-        if self.nvars < 1 or self.maxdeg < 1:
+    def __init__(self, nvars: int, maxdeg: int):
+        if nvars < 1 or maxdeg < 1:
             raise ValueError("window needs nvars >= 1 and maxdeg >= 1")
+        self._assign(nvars, maxdeg)
 
     def clip(self, f: MultiPoly) -> MultiPoly:
         return truncate(f.restrict(self.nvars) if f.nvars > self.nvars else f,
@@ -397,16 +396,13 @@ def verify_stable_sp_transition(v: ShiftedFpfInvolution, j: int, k: int, win: Wi
             == _gp_combination(_unframe(rhs, d), win))
 
 
-@dataclass(frozen=True)
-class GPRecurrenceCertificate:
-    z: ShiftedFpfInvolution
-    v: ShiftedFpfInvolution
-    j: int
-    k: int
-    l: int
-    i_list: tuple[int, ...]
-    terms: tuple[tuple[ShiftedFpfInvolution, BetaInt], ...]
-    verified: bool
+class GPRecurrenceCertificate(_Frozen):
+    __slots__ = ("z", "v", "j", "k", "l", "i_list", "terms", "verified")
+
+    def __init__(self, z: ShiftedFpfInvolution, v: ShiftedFpfInvolution, j: int, k: int,
+                 l: int, i_list: tuple[int, ...],
+                 terms: tuple[tuple[ShiftedFpfInvolution, BetaInt], ...], verified: bool):
+        self._assign(z, v, j, k, l, i_list, terms, verified)
 
 
 def gp_sp_positive_recurrence(z: ShiftedFpfInvolution | FpfInvolution,

@@ -59,6 +59,17 @@ class TestCompute:
         assert run(capsys, "compute", "sp-groth", "1134") == (
             2, "", f"{prefix} '1134': not a permutation word: (1, 1, 3, 4)\n")
 
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch):
+        # as `compute G 1 --nvars 9999999` does under an address-space cap:
+        # one line on stderr, no traceback
+        def exhausted(el, win):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.OBJECTS, "G", ("partition", "G", exhausted))
+        for command in ("compute", "expand"):
+            assert run(capsys, command, "G", "1") == (
+                3, "", f"error: out of memory in {command}\n")
+
     def test_empty_partition(self, capsys):
         code, out, _ = run(capsys, "compute", "GP", "-")
         assert code == 0

@@ -1,6 +1,8 @@
 """Source-level checks on the library package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import spgroth
@@ -82,3 +84,14 @@ def test_every_private_name_is_used():
             if not any(private in reads for _, other, reads in statements if other is not stmt):
                 found.append(f"{name}:{stmt.lineno} {private}")
     assert found == []
+
+
+def test_cli_start_up_imports_no_heavy_modules():
+    # each CLI run pays its imports; -S keeps site's own imports (a .pth
+    # file may load typing) out of the check
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import spgroth.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
