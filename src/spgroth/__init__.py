@@ -57,7 +57,6 @@ from .stable import (
     gp_partition,
     gp_sp,
     gp_sp_positive_recurrence,
-    gp_via_pi_formula,
     stable_groth_partition,
     stable_groth_perm,
     verify_f_grass,

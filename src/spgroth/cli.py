@@ -3,8 +3,8 @@
 verify decides one case of an identity, and sweep every case at a rank,
 through the same _check.  Output is canonical and byte-identical across
 runs.  Exit codes: 0 success, 1 standard output closed early (as by
-`| head`), 2 parse error, 3 precondition violation or memory exhausted,
-4 verification failure.
+`| head`), 2 parse error, 3 precondition violation, memory exhausted or
+recursion too deep, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -116,11 +116,10 @@ def cmd_compute(args) -> int:
 
 def cmd_expand(args) -> int:
     win = _window(args)
-    obj = args.object
-    basis = args.basis or OBJECTS[obj][1]
+    basis = args.basis or OBJECTS[args.object][1]
     f = _build(args, win)
 
-    meta = {"command": "expand", "object": obj, "element": args.element, "basis": basis,
+    meta = {"command": "expand", "object": args.object, "element": args.element, "basis": basis,
             "window": {"nvars": win.nvars, "maxdeg": win.maxdeg}}
     if basis == "groth":
         exp = expand_in_grothendieck_basis(f, args.max_expansion_degree)
@@ -315,8 +314,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
-        print(f"error: out of memory in {args.command}", file=sys.stderr)
+    except (MemoryError, RecursionError) as exc:
+        cause = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"
+        print(f"error: {cause} in {args.command}", file=sys.stderr)
         return 3
 
 

@@ -59,9 +59,7 @@ from .polyring import (
     ExponentRangeError,
     MultiPoly,
     _layout,
-    apply_word,
     isobaric,
-    oplus,
     symmetrize_check,
     truncate,
 )
@@ -284,31 +282,6 @@ def gp_sp(z: FpfInvolution, win: Window) -> MultiPoly:
     if fpf_length(z) > win.maxdeg:
         return MultiPoly.zero(win.nvars)
     return _gp_sp_cached(z.oneline, win.nvars, win.maxdeg)
-
-
-def _gp_operand(lam: tuple[int, ...], n: int) -> MultiPoly:
-    """x^lam times the product over rows i and columns j > i of
-    (x_i (+) x_j) / x_i, as a Laurent polynomial in n variables."""
-    r = len(lam)
-    exps = list(lam) + [0] * (n - len(lam))
-    f = MultiPoly.monomial(tuple(exps))
-    inverse_x = {i: MultiPoly.x(i, n, power=-1) for i in range(1, r + 1)}
-    for i in range(1, r + 1):
-        for j in range(i + 1, n + 1):
-            f = f * oplus(MultiPoly.x(i, n), MultiPoly.x(j, n)) * inverse_x[i]
-    return f
-
-
-def gp_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
-    """Isobaric long-word image of the shifted-shape operand; the result is
-    asserted to be a polynomial."""
-    lam = as_strict_partition(lam)
-    if len(lam) > n:
-        raise ValueError("shape has more parts than variables")
-    f = apply_word(isobaric, _quotient_word(tuple(range(n + 1))), _gp_operand(lam, n))
-    if f.has_negative_exponents():
-        raise RuntimeError("isobaric image failed to be a polynomial")
-    return f
 
 
 # ---------------------------------------------------------------------------

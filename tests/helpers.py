@@ -44,7 +44,7 @@ from spgroth.polyring import (
     oplus,
     truncate,
 )
-from spgroth.stable import Window, _gp_operand
+from spgroth.stable import Window
 
 
 def oracle_inversions(word) -> int:
@@ -279,6 +279,32 @@ def long_word_stable_groth_partition(lam: tuple[int, ...], n: int) -> MultiPoly:
     return apply_word(isobaric, _long_word(n), MultiPoly.monomial(lam + (0,) * (n - len(lam))))
 
 
+def _gp_operand(lam: tuple[int, ...], n: int) -> MultiPoly:
+    """x^lam times the product over rows i and columns j > i of
+    (x_i (+) x_j) / x_i, as a Laurent polynomial in n variables."""
+    r = len(lam)
+    exps = list(lam) + [0] * (n - len(lam))
+    f = MultiPoly.monomial(tuple(exps))
+    inverse_x = {i: MultiPoly.x(i, n, power=-1) for i in range(1, r + 1)}
+    for i in range(1, r + 1):
+        for j in range(i + 1, n + 1):
+            f = f * oplus(MultiPoly.x(i, n), MultiPoly.x(j, n)) * inverse_x[i]
+    return f
+
+
+def gp_via_pi_formula(lam: tuple[int, ...], n: int) -> MultiPoly:
+    """The shifted shape series in n variables as the untruncated isobaric
+    image of the shifted operand through the whole long word; the result
+    is asserted to be a polynomial."""
+    lam = as_strict_partition(lam)
+    if len(lam) > n:
+        raise ValueError("shape has more parts than variables")
+    f = apply_word(isobaric, _long_word(n), _gp_operand(lam, n))
+    if f.has_negative_exponents():
+        raise RuntimeError("isobaric image failed to be a polynomial")
+    return f
+
+
 def gp_sp_stabilized(z: FpfInvolution, win: Window) -> MultiPoly:
     """The symplectic stable limit through the whole long word of growing n,
     until the window agrees twice, within 8 extra variables; a third
@@ -317,6 +343,83 @@ def sp_grassmannian_formula(z: FpfInvolution) -> MultiPoly:
     if f.has_negative_exponents():
         raise RuntimeError("isobaric image failed to be a polynomial")
     return f
+
+
+# -- flagged Hecke-word sums ---------------------------------------------------
+#
+# Both finite families by their Hecke-word formulas, which call no operator
+# of the kernel.  A flagged word of rank n is a = a^1 a^2 ... a^(n-1), each
+# row a^r strictly decreasing in the letters r..n-1; it weighs
+# x_1^|a^1| ... x_(n-1)^|a^(n-1)| times beta^(|a| - length of its index),
+# and its index is where its letters carry a start state, one at a time.
+
+
+def _flagged_words(n: int):
+    """(letters, row lengths) of each of the 2^(n(n-1)/2) flagged words of
+    rank n."""
+    rows = [[tuple(reversed(subset)) for size in range(n - r + 1)
+             for subset in itertools.combinations(range(r, n), size)]
+            for r in range(1, n)]
+    for choice in itertools.product(*rows):
+        yield tuple(itertools.chain.from_iterable(choice)), tuple(map(len, choice))
+
+
+def _flagged_sums(n: int, start: tuple[int, ...], act, length) -> dict:
+    """{final state: its sum}: act(state, i) is the state after the letter
+    i, or None where the word dies; length(state) is its index's length."""
+    counts: dict = {}
+    for word, sizes in _flagged_words(n):
+        state = start
+        for i in word:
+            state = act(state, i)
+            if state is None:
+                break
+        else:
+            terms = counts.setdefault(state, {})
+            key = (len(word), sizes)
+            terms[key] = terms.get(key, 0) + 1
+    nvars = max(n - 1, 1)
+    pad = (0,) * (nvars - (n - 1))
+    return {state: MultiPoly(nvars, {(size - length(state), sizes + pad): c
+                                     for (size, sizes), c in terms.items()})
+            for state, terms in counts.items()}
+
+
+def _demazure_step(u: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """u * s_i where u(i) < u(i+1), else u."""
+    if u[i - 1] > u[i]:
+        return u
+    return u[:i - 1] + (u[i], u[i - 1]) + u[i + 1:]
+
+
+def _fpf_demazure_step(y: tuple[int, ...], i: int) -> tuple[int, ...] | None:
+    """None where y(i) = i + 1, s_i y s_i where y(i) < y(i+1), else y."""
+    if y[i - 1] == i + 1:
+        return None
+    if y[i - 1] > y[i]:
+        return y
+
+    def s(v: int) -> int:
+        return i + 1 if v == i else i if v == i + 1 else v
+
+    return tuple(s(y[s(v) - 1]) for v in range(1, len(y) + 1))
+
+
+def flagged_hecke_groth(n: int) -> dict[Permutation, MultiPoly]:
+    """G_w for every w in S_n: the sum over flagged words whose right
+    Demazure product from the identity is w, at beta^(|a| - length(w))."""
+    sums = _flagged_sums(n, tuple(range(1, n + 1)), _demazure_step, oracle_inversions)
+    return {Permutation.from_oneline(u): f for u, f in sums.items()}
+
+
+def flagged_hecke_sp_groth(n: int) -> dict[FpfInvolution, MultiPoly]:
+    """The symplectic polynomial of every fpf involution of even rank n: the
+    sum over flagged words that carry theta to z under the fpf Demazure
+    action, at beta^(|a| - fpf length(z))."""
+    theta_n = tuple(v + 1 if v % 2 else v - 1 for v in range(1, n + 1))
+    sums = _flagged_sums(n, theta_n, _fpf_demazure_step,
+                         lambda y: oracle_fpf_length(FpfInvolution.from_oneline(y)))
+    return {FpfInvolution.from_oneline(y): f for y, f in sums.items()}
 
 
 # -- partitions ----------------------------------------------------------------

@@ -42,7 +42,6 @@ from spgroth.stable import (
     expand_in_GP_basis,
     gp_partition,
     gp_sp,
-    gp_via_pi_formula,
     stable_groth_perm,
     verify_f_grass,
 )
@@ -52,6 +51,7 @@ from helpers import (
     S3_TABLE,
     SP4_TABLE,
     SP_351624_TERMS,
+    gp_via_pi_formula,
     grassmannian_perm,
     oracle_sp_grothendieck,
     oracle_stable_groth_partition,

@@ -70,6 +70,17 @@ class TestCompute:
             assert run(capsys, command, "G", "1") == (
                 3, "", f"error: out of memory in {command}\n")
 
+    def test_recursion_too_deep_exit_3(self, capsys, monkeypatch):
+        # as a first-ascent climb longer than the interpreter's frames does:
+        # one line on stderr, no traceback
+        def too_deep(el, win):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli.OBJECTS, "G", ("partition", "G", too_deep))
+        for command in ("compute", "expand"):
+            assert run(capsys, command, "G", "1") == (
+                3, "", f"error: recursion too deep in {command}\n")
+
     def test_empty_partition(self, capsys):
         code, out, _ = run(capsys, "compute", "GP", "-")
         assert code == 0
@@ -559,7 +570,10 @@ class TestPackedRange:
 # still decoded its tableau keys: the first exponent at which a 16-bit key
 # field would carry, and two shapes too large to list their cells, the
 # second past 64 bits; and a one-row G series inside the window's degree but
-# past the exponent limit, recorded when larger ones began to print 0
+# past the exponent limit, recorded when larger ones began to print 0; and
+# two simple transpositions whose first-ascent climbs (1,035 and 1,128
+# steps, at least one Python frame each) pass the default recursion limit
+# of 1,000, recorded when the traceback they ended in became exit 3
 PINNED_ERRORS = [
     ("expand groth 4321 --max-expansion-degree 2",
      "error: expansion exceeded max_deg=2 (bottom degree 6)\n"),
@@ -595,6 +609,10 @@ PINNED_ERRORS = [
     ("compute G 9999999999 --nvars 1 --maxdeg 99999999999",
      "error: exponent 9999999999 outside the packed range "
      "(exponents -16384..16383, beta powers 0..32767)\n"),
+    ("compute schubert " + ",".join(map(str, [*range(1, 46), 47, 46])),
+     "error: recursion too deep in compute\n"),
+    ("compute groth " + ",".join(map(str, [*range(1, 48), 49, 48])),
+     "error: recursion too deep in compute\n"),
 ]
 
 

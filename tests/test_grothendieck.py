@@ -36,6 +36,8 @@ from helpers import (
     SP4_TABLE,
     SP_351624_TERMS,
     ascent_chain_to_top,
+    flagged_hecke_groth,
+    flagged_hecke_sp_groth,
     fpf_ascents,
     is_homogeneous,
     oracle_fpf_length,
@@ -228,6 +230,25 @@ class TestTopDescentOracle:
     def test_permutation_family_rank_6(self):
         for w in all_permutations(6):
             assert _same_output(grothendieck(w), oracle_grothendieck(w)), w
+
+
+class TestFlaggedHeckeSums:
+    """Both families against their Hecke-word sums, the one oracle that
+    runs no divided difference and no oplus of the kernel."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_permutation_family(self, n):
+        sums = flagged_hecke_groth(n)
+        assert set(sums) == set(all_permutations(n))
+        for w, f in sums.items():
+            assert f == grothendieck(w), w
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_sp_family(self, n):
+        sums = flagged_hecke_sp_groth(n)
+        assert set(sums) == set(all_fpf_involutions(n))
+        for z, f in sums.items():
+            assert f == sp_grothendieck(z), z
 
 
 # the deep elements drawn by the benchmark's rank-10 family workload

@@ -32,7 +32,6 @@ from spgroth.stable import (
     gp_partition,
     gp_sp,
     gp_sp_positive_recurrence,
-    gp_via_pi_formula,
     shifted_set_valued_tableaux,
     stable_groth_partition,
     stable_groth_perm,
@@ -42,6 +41,7 @@ from spgroth.stable import (
 
 from helpers import (
     gp_sp_stabilized,
+    gp_via_pi_formula,
     grassmannian_perm,
     long_word_stable_groth_partition,
     long_word_stable_groth_perm,
