@@ -9,8 +9,11 @@ the window's degree bound is zero and is returned before any polynomial is
 built.  Set-valued tableaux remain only for the shifted shape series
 GP_lam: one generator, shifted_set_valued_tableaux, yields each tableau as
 a tuple of letter sets and shares each cell's list of allowed subsets
-between the nodes that ask for it; GP_lam counts each tableau under its
-packed monomial key, a sum of per-cell offsets, with no decoding.
+between the nodes that ask for it.  Per-cell letter caps, made once per
+call, keep each cell to letters that the cells after it can still follow,
+so every partial tableau completes and no branch ends empty.  GP_lam counts
+each tableau under its packed monomial key, a sum of per-cell offsets read
+from a dict that fills itself on a miss, with no decoding.
 Ordinary set-valued tableaux are the test oracle for G_lam and live in the
 tests.
 
@@ -24,9 +27,9 @@ window and is not reported.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from ._frozen import _Frozen
 from .coxeter import (
@@ -86,6 +89,29 @@ class Window(_Frozen):
 # ---------------------------------------------------------------------------
 
 
+def _letter_caps(cells: list[tuple[int, int]], pools: list[tuple[int, ...]]) -> list[int]:
+    """The largest letter each cell holds in some tableau, or 0 when it holds
+    none.  Walking back from the last cell, a cell's cap is the largest
+    letter m of its pool that leaves its right neighbour a letter >= m + (m &
+    1) and its lower neighbour one >= m + 1 - (m & 1), diagonal or not, each
+    at most that neighbour's cap.  Both bounds grow with m, so a partial
+    tableau whose cells stay within their caps completes by filling each
+    later cell with its cap alone, and no tableau passes a cap.  A cap of 0
+    makes 0 the cap of the cells left of and above it, and every cell lies
+    right of or below the first, so either every cap is positive or there
+    is no tableau and every cap is 0."""
+    index = {cell: t for t, cell in enumerate(cells)}
+    # a missing neighbour points past the cells, at a cap that bounds nothing
+    caps = [0] * len(cells) + [max(itertools.chain.from_iterable(pools), default=0) + 2]
+    for t in reversed(range(len(cells))):
+        i, j = cells[t]
+        right = caps[index.get((i, j + 1), -1)]
+        below = caps[index.get((i + 1, j), -1)]
+        k = bisect_right(pools[t], min(right - (right & 1), below - 1 + (below & 1)))
+        caps[t] = pools[t][k - 1] if k else 0
+    return caps[:-1] if caps[0] else [0] * len(cells)
+
+
 def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
     """Semistandard shifted set-valued tableaux of the strict shape with
     marked letters of value at most nvars and at most max_weight letters in
@@ -100,13 +126,16 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     size and then lexicographically.
 
     Iterative: a stack of per-cell subset iterators, so deep shapes need no
-    recursion.  A cell's allowed subsets depend only on its lower bound and
-    its letter budget (letters left after the cells before it, less one for
-    each cell after it), so the tuple for each (cell, lower bound, budget)
-    is built once and shared by every node that asks for it; the memo is
-    local to the call and freed with the generator.  The last cell is a
-    plain loop over its tuple, with no stack push per tableau, and each
-    tableau extends a tuple of the other cells made once per parent."""
+    recursion.  Each cell takes letters up to its cap (_letter_caps), the
+    largest letter it holds in any tableau, so every partial tableau
+    completes and no time goes to dead ends, such as a diagonal cell left
+    with no unprimed letter.  A cell's allowed subsets depend only on its
+    lower bound and its letter budget (letters left after the cells before
+    it, less one for each cell after it), so the tuple for each (cell, lower
+    bound, budget) is built once and shared by every node that asks for it;
+    the memo is local to the call and freed with the generator.  The last
+    cell is a plain loop over its tuple, with no stack push per tableau, and
+    each tableau extends a tuple of the other cells made once per parent."""
     shape = as_strict_partition(shape)
     cells = [(i, i + j) for i, part in enumerate(shape) for j in range(part)]
     ncells = len(cells)
@@ -121,7 +150,9 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     left = [index.get((i, j - 1), ncells) for i, j in cells]
     above = [index.get((i - 1, j), ncells) for i, j in cells]
     letters = tuple(range(1, 2 * nvars + 1))
-    pools = [letters[1::2] if i == j else letters for i, j in cells]
+    unprimed = letters[1::2]
+    pools = [unprimed if i == j else letters for i, j in cells]
+    stop = [bisect_right(pool, cap) for pool, cap in zip(pools, _letter_caps(cells, pools))]
     chosen: list[tuple[int, ...]] = [()] * ncells + [(-1,)]
     used = [0] * ncells  # letters in the cells before each cell
     memo: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
@@ -135,7 +166,7 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
         key = (t, lo, max_weight - used[t] - (ncells - t - 1))
         subsets = memo.get(key)
         if subsets is None:
-            pool = pools[t][bisect_left(pools[t], lo):]
+            pool = pools[t][bisect_left(pools[t], lo):stop[t]]
             subsets = memo[key] = tuple(itertools.chain.from_iterable(
                 itertools.combinations(pool, size)
                 for size in range(1, min(key[2], len(pool)) + 1)))
@@ -158,11 +189,28 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
         if t + 1 < last:
             stack.append(iter(options(t + 1)))
             continue
-        leaves = options(last)
-        if leaves:
-            prefix = tuple(chosen[:last])
-            for leaf in leaves:
-                yield prefix + (leaf,)
+        prefix = tuple(chosen[:last])
+        for leaf in options(last):
+            yield prefix + (leaf,)
+
+
+class _LetterSetOffsets(dict):
+    """The packed-key offset of each letter set S in nvars variables, the
+    key of beta^(|S| - 1) x^content(S) less that of 1, made on its first
+    lookup."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, nvars: int):
+        self.layout = _layout(nvars)
+
+    def __missing__(self, subset: tuple[int, ...]) -> int:
+        layout = self.layout
+        exps = [0] * layout.nvars
+        for m in subset:
+            exps[(m - 1) // 2] += 1
+        offset = self[subset] = layout.pack(len(subset) - 1, tuple(exps)) - layout.zero
+        return offset
 
 
 def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
@@ -174,14 +222,15 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
 
     Each tableau is counted under its packed key, the key of 1 plus its
     cells' offsets, and no field carries: the offset of a cell's letter set
-    S is the key of beta^(|S| - 1) x^content(S) less that of 1, made once
-    per call, and keys are linear in their fields while none carries.  A value
-    is unprimed at most once per column and primed at most once per row, so
-    an exponent is at most 2 lam_1; lam_1 > EXP_MAX raises at once, as the
-    row filling (row i all i) gives the term x^lam.  Tableaux stop one beta
-    power past BETA_MAX, which some tableau reaches if any passes it, since
-    dropping a letter from a cell of two keeps a tableau.  One range check
-    then covers every key."""
+    S is the key of beta^(|S| - 1) x^content(S) less that of 1, kept in a
+    dict that fills itself on a miss (a plain lookup is cheaper per cell
+    than a cached call), and keys are linear in their fields while none
+    carries.  A value is unprimed at most once per column and primed at
+    most once per row, so an exponent is at most 2 lam_1; lam_1 > EXP_MAX
+    raises at once, as the row filling (row i all i) gives the term x^lam.
+    Tableaux stop one beta power past BETA_MAX, which some tableau reaches
+    if any passes it, since dropping a letter from a cell of two keeps a
+    tableau.  One range check then covers every key."""
     lam = as_strict_partition(lam)
     n = win.nvars
     if len(lam) > n or sum(lam) > win.maxdeg:
@@ -189,14 +238,7 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     if lam and lam[0] > EXP_MAX:
         raise ExponentRangeError(f"exponent {lam[0]}")
     layout = _layout(n)
-
-    @cache
-    def offset(subset: tuple[int, ...]) -> int:
-        exps = [0] * n
-        for m in subset:
-            exps[(m - 1) // 2] += 1
-        return layout.pack(len(subset) - 1, tuple(exps)) - layout.zero
-
+    offset = _LetterSetOffsets(n).__getitem__
     max_weight = min(win.maxdeg, sum(lam) + BETA_MAX + 1)
     terms = dict(Counter(sum(map(offset, tab), layout.zero)
                          for tab in shifted_set_valued_tableaux(lam, n, max_weight)))

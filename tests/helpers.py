@@ -542,6 +542,17 @@ def oracle_fillings(cells: list[tuple[int, int]], pools: list[tuple[int, ...]], 
             stack.append(options(t + 1))
 
 
+def shifted_cells(lam: tuple[int, ...], nvars: int):
+    """The cells of the strict shape, row by row from the diagonal, and
+    their letter pools, as the library's shifted_set_valued_tableaux builds
+    them: marked letters up to nvars, unprimed only on the diagonal."""
+    lam = as_strict_partition(lam)
+    cells = [(i, i + j - 1) for i in range(1, len(lam) + 1) for j in range(1, lam[i - 1] + 1)]
+    letters = tuple(range(1, 2 * nvars + 1))
+    unprimed = letters[1::2]
+    return cells, [letters if i != j else unprimed for i, j in cells]
+
+
 def oracle_gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """The shifted shape series at the window as the sum of beta^(letters -
     |lam|) x^content over the shifted set-valued tableaux, one exponent list
@@ -549,10 +560,7 @@ def oracle_gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     letter pools that the library's shifted_set_valued_tableaux builds."""
     lam = as_strict_partition(lam)
     weight = sum(lam)
-    cells = [(i, i + j - 1) for i in range(1, len(lam) + 1) for j in range(1, lam[i - 1] + 1)]
-    letters = tuple(range(1, 2 * win.nvars + 1))
-    unprimed = letters[1::2]
-    pools = [letters if i != j else unprimed for i, j in cells]
+    cells, pools = shifted_cells(lam, win.nvars)
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
     for tab in oracle_fillings(cells, pools, win.maxdeg):
         exps = [0] * win.nvars

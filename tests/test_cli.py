@@ -436,9 +436,12 @@ class TestArgparseSurface:
 # the first as GP printed it while it still decoded its tableau keys, the
 # second where that route ran out of memory; the JSON text of the wide
 # rank-10 element was recorded while the serializer still memoized the text
-# of each exponent; the last two, one-row G series with more cells than the
-# window's degree ("0"), were recorded when they stopped exiting 3 for
-# building x^lam before the degree check; every op exits 0
+# of each exponent; the two after it, one-row G series with more cells than
+# the window's degree ("0"), were recorded when they stopped exiting 3 for
+# building x^lam before the degree check; the last, a shifted shape with
+# three diagonal cells in four variables, where most partial tableaux are
+# dead ends, was recorded before the tableau enumerator pruned them; every
+# op exits 0
 PINNED_OUTPUT = [
     ("compute groth 2143",
      "fcfe777f37d19fa327f8ed92fee0935c4376afde147c949babdcd7b8d1a916fc"),
@@ -518,6 +521,8 @@ PINNED_OUTPUT = [
      "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
     ("compute G 9999999999 --nvars 1 --maxdeg 5",
      "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("compute GP 4,3,1 --nvars 4 --maxdeg 10",
+     "44f5e4b94327a03eebb4c7965f922388de687f7e71d040e629fdc27a62039f7c"),
 ]
 
 # sha256 over (one-line word, nvars, text) of the 34 rank-10 involutions of

@@ -26,6 +26,7 @@ from spgroth.polyring import (
 )
 from spgroth.stable import (
     Window,
+    _letter_caps,
     _unframe,
     expand_in_G_basis,
     expand_in_GP_basis,
@@ -57,6 +58,7 @@ from helpers import (
     oracle_tableaux,
     poly_from_beta_terms,
     shift_perm,
+    shifted_cells,
     sp_grassmannian_formula,
 )
 
@@ -149,10 +151,6 @@ def _rows(shape):
     return [(i, j) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
 
 
-def _shifted_rows(shape):
-    return [(i, i + j - 1) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)]
-
-
 def _marked_le(a, b):
     # a <= b, and equal only when unprimed (odd letters are primed)
     return a < b or (a == b and a % 2 == 0)
@@ -182,10 +180,8 @@ class TestTableauEngineAgainstBruteForce:
 
     def test_shifted(self):
         for shape in [(), (1,), (2,), (3,), (2, 1), (4,), (3, 1)]:
-            cells = _shifted_rows(shape)
             for nvars in (1, 2):
-                pools = [tuple(m for m in range(1, 2 * nvars + 1) if i != j or m % 2 == 0)
-                         for i, j in cells]
+                cells, pools = shifted_cells(shape, nvars)
                 for max_weight in range(max(len(cells) - 1, 0), len(cells) + 3):
                     got = sorted(tuple(zip(cells, t))
                                  for t in shifted_set_valued_tableaux(shape, nvars, max_weight))
@@ -202,15 +198,27 @@ class TestFillingsAgainstOracle:
     def test_shifted(self):
         for size in range(7):
             for shape in partitions_of(size, strict=True):
-                cells = _shifted_rows(shape)
-                for nvars in (1, 2, 3):
-                    pools = [tuple(m for m in range(1, 2 * nvars + 1) if i != j or m % 2 == 0)
-                             for i, j in cells]
+                for nvars in (1, 2, 3, 4) if size <= 5 else (1, 2, 3):
+                    cells, pools = shifted_cells(shape, nvars)
                     for max_weight in range(max(size - 1, 0), size + 4):
                         got = [dict(zip(cells, tab))
                                for tab in shifted_set_valued_tableaux(shape, nvars, max_weight)]
                         want = list(oracle_fillings(cells, pools, max_weight))
                         assert got == want, (shape, nvars, max_weight)
+
+
+class TestLetterCaps:
+    def test_cap_is_the_largest_letter_held(self):
+        # singletons complete any partial tableau that fits the caps, so the
+        # tableaux with one letter a cell reach every cap
+        for size in range(7):
+            for shape in partitions_of(size, strict=True):
+                for nvars in (1, 2, 3):
+                    cells, pools = shifted_cells(shape, nvars)
+                    want = [0] * len(cells)
+                    for tab in oracle_fillings(cells, pools, len(cells)):
+                        want = [max(cap, tab[cell][-1]) for cap, cell in zip(want, cells)]
+                    assert _letter_caps(cells, pools) == want, (shape, nvars)
 
 
 class TestStableGrothPartition:
@@ -310,7 +318,7 @@ class TestShiftedTableaux:
     @staticmethod
     def _tableaux(shape, nvars, max_weight):
         # keyed by (row, column) of the shifted shape
-        cells = _shifted_rows(shape)
+        cells, _ = shifted_cells(shape, nvars)
         return [dict(zip(cells, t)) for t in shifted_set_valued_tableaux(shape, nvars, max_weight)]
 
     def test_single_cell_diagonal_unprimed(self):
