@@ -7,15 +7,12 @@ polynomial has degree at least the length of its index, and an isobaric
 step never lowers a degree, so a stable limit whose index is longer than
 the window's degree bound is zero and is returned before any polynomial is
 built.  Set-valued tableaux remain only for the shifted shape series
-GP_lam: one generator, shifted_set_valued_tableaux, yields each tableau as
-a tuple of letter sets and shares each cell's list of allowed subsets
-between the nodes that ask for it.  Per-cell letter caps, made once per
-call, keep each cell to letters that the cells after it can still follow,
-so every partial tableau completes and no branch ends empty.  GP_lam counts
-each tableau under its packed monomial key, a sum of per-cell offsets read
-from a dict that fills itself on a miss, with no decoding.
-Ordinary set-valued tableaux are the test oracle for G_lam and live in the
-tests.
+GP_lam: one generator, shifted_set_valued_tableaux, walks the tableaux and
+folds each into a start value plus a weight per cell, so GP_lam gets each
+tableau's packed monomial key for one add.  Per-cell letter caps keep each
+cell to letters that the cells after it can still follow, so no branch of
+the walk ends empty.  Ordinary set-valued tableaux are the test oracle for
+G_lam and live in the tests.
 
 Symmetric-series identities are always asserted "at a window": in the
 variables x_1..nvars, modulo terms of total degree above maxdeg.  Expansion
@@ -112,35 +109,33 @@ def _letter_caps(cells: list[tuple[int, int]], pools: list[tuple[int, ...]]) -> 
     return caps[:-1] if caps[0] else [0] * len(cells)
 
 
-def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int):
+def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: int,
+                                weight, start):
     """Semistandard shifted set-valued tableaux of the strict shape with
     marked letters of value at most nvars and at most max_weight letters in
-    total.  Letters are marked: value v primed is 2v - 1 and unprimed is 2v,
-    so integer order matches 1' < 1 < 2' < 2 < ...  Each cell holds a
-    nonempty set; along a row min(here) >= max(left), strictly when
-    max(left) is primed; down a column min(here) >= max(above), strictly
-    unless max(above) is primed; the diagonal holds no primed letter.
-    Yields each tableau as a tuple of sorted letter tuples, one per cell,
-    cells read row by row from the diagonal.  Each tableau comes once, in
-    lexicographic order of its cell sequence, a cell's subsets ordered by
-    size and then lexicographically.
+    total, folded: for each tableau, start + weight(S_1) + ... + weight(S_k)
+    over its letter sets, cells read row by row from the diagonal (weight =
+    lambda s: (s,) and start = () give the tableau itself).  Letters are
+    marked: value v primed is 2v - 1 and unprimed is 2v, so integer order
+    matches 1' < 1 < 2' < 2 < ...  Each cell holds a nonempty sorted tuple;
+    along a row min(here) >= max(left), strictly when max(left) is primed;
+    down a column min(here) >= max(above), strictly unless max(above) is
+    primed; the diagonal holds no primed letter.  Tableaux come once each,
+    in lexicographic order of their cell sequences, a cell's subsets ordered
+    by size and then lexicographically.
 
-    Iterative: a stack of per-cell subset iterators, so deep shapes need no
-    recursion.  Each cell takes letters up to its cap (_letter_caps), the
-    largest letter it holds in any tableau, so every partial tableau
-    completes and no time goes to dead ends, such as a diagonal cell left
-    with no unprimed letter.  A cell's allowed subsets depend only on its
-    lower bound and its letter budget (letters left after the cells before
-    it, less one for each cell after it), so the tuple for each (cell, lower
-    bound, budget) is built once and shared by every node that asks for it;
-    the memo is local to the call and freed with the generator.  The last
-    cell is a plain loop over its tuple, with no stack push per tableau, and
-    each tableau extends a tuple of the other cells made once per parent."""
+    A stack of per-cell iterators, so deep shapes need no recursion.  Each
+    cell takes letters up to its cap (_letter_caps), so every partial
+    tableau completes.  A cell's subsets depend only on its lower bound and
+    its letter budget, so those of each (cell, bound, budget) and their
+    weights are built once per call and shared.  Each level keeps its
+    running value, start plus the weights before it, and the last cell
+    loops over its weights: one add per tableau."""
     shape = as_strict_partition(shape)
     cells = [(i, i + j) for i, part in enumerate(shape) for j in range(part)]
     ncells = len(cells)
     if ncells == 0:
-        yield ()
+        yield start
         return
     if max_weight < ncells:
         return
@@ -150,54 +145,57 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     left = [index.get((i, j - 1), ncells) for i, j in cells]
     above = [index.get((i - 1, j), ncells) for i, j in cells]
     letters = tuple(range(1, 2 * nvars + 1))
-    unprimed = letters[1::2]
-    pools = [unprimed if i == j else letters for i, j in cells]
+    pools = [letters[1::2] if i == j else letters for i, j in cells]
     stop = [bisect_right(pool, cap) for pool, cap in zip(pools, _letter_caps(cells, pools))]
-    chosen: list[tuple[int, ...]] = [()] * ncells + [(-1,)]
+    top = [0] * ncells + [-1]  # the largest letter of each chosen cell
     used = [0] * ncells  # letters in the cells before each cell
-    memo: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+    value = [start] * ncells  # start plus the weights of the cells before each cell
+    memo: dict[tuple[int, int, int], tuple[tuple, tuple]] = {}
 
-    def options(t: int) -> tuple[tuple[int, ...], ...]:
-        m = chosen[left[t]][-1]
+    def options(t: int) -> tuple[tuple, tuple]:
+        # the subsets' weights, and the subsets as (largest letter, size, weight)
+        m = top[left[t]]
         lo = m + 1 if m & 1 else m
-        m = chosen[above[t]][-1]
+        m = top[above[t]]
         if m >= lo:
             lo = m if m & 1 else m + 1
         key = (t, lo, max_weight - used[t] - (ncells - t - 1))
-        subsets = memo.get(key)
-        if subsets is None:
+        entry = memo.get(key)
+        if entry is None:
             pool = pools[t][bisect_left(pools[t], lo):stop[t]]
-            subsets = memo[key] = tuple(itertools.chain.from_iterable(
+            subsets = tuple(itertools.chain.from_iterable(
                 itertools.combinations(pool, size)
                 for size in range(1, min(key[2], len(pool)) + 1)))
-        return subsets
+            weights = tuple(map(weight, subsets))
+            entry = memo[key] = weights, tuple(zip(map(max, subsets), map(len, subsets), weights))
+        return entry
 
     last = ncells - 1
     if last == 0:
-        for subset in options(0):
-            yield (subset,)
+        for w in options(0)[0]:
+            yield start + w
         return
-    stack = [iter(options(0))]
+    stack = [iter(options(0)[1])]
     while stack:
         t = len(stack) - 1
-        subset = next(stack[-1], None)
-        if subset is None:
+        node = next(stack[-1], None)
+        if node is None:
             stack.pop()
             continue
-        chosen[t] = subset
-        used[t + 1] = used[t] + len(subset)
+        top[t], size, w = node
+        used[t + 1] = used[t] + size
+        value[t + 1] = value[t] + w
         if t + 1 < last:
-            stack.append(iter(options(t + 1)))
+            stack.append(iter(options(t + 1)[1]))
             continue
-        prefix = tuple(chosen[:last])
-        for leaf in options(last):
-            yield prefix + (leaf,)
+        running = value[last]
+        for w in options(last)[0]:
+            yield running + w
 
 
 class _LetterSetOffsets(dict):
-    """The packed-key offset of each letter set S in nvars variables, the
-    key of beta^(|S| - 1) x^content(S) less that of 1, made on its first
-    lookup."""
+    """The packed-key offset of each letter set S in nvars variables, made
+    on first lookup: the key of beta^(|S| - 1) x^content(S) less that of 1."""
 
     __slots__ = ("layout",)
 
@@ -205,11 +203,10 @@ class _LetterSetOffsets(dict):
         self.layout = _layout(nvars)
 
     def __missing__(self, subset: tuple[int, ...]) -> int:
-        layout = self.layout
-        exps = [0] * layout.nvars
+        exps = [0] * self.layout.nvars
         for m in subset:
             exps[(m - 1) // 2] += 1
-        offset = self[subset] = layout.pack(len(subset) - 1, tuple(exps)) - layout.zero
+        offset = self[subset] = self.layout.pack(len(subset) - 1, tuple(exps)) - self.layout.zero
         return offset
 
 
@@ -220,11 +217,9 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     more parts than nvars, since the diagonal strictly increases, or when
     |lam| exceeds maxdeg, since every cell holds a letter.
 
-    Each tableau is counted under its packed key, the key of 1 plus its
-    cells' offsets, and no field carries: the offset of a cell's letter set
-    S is the key of beta^(|S| - 1) x^content(S) less that of 1, kept in a
-    dict that fills itself on a miss (a plain lookup is cheaper per cell
-    than a cached call), and keys are linear in their fields while none
+    The walk folds each tableau into its packed key: the key of 1 plus, per
+    cell, the key of beta^(|S| - 1) x^content(S) less that of 1, S the
+    cell's letter set, as keys are linear in their fields while none
     carries.  A value is unprimed at most once per column and primed at
     most once per row, so an exponent is at most 2 lam_1; lam_1 > EXP_MAX
     raises at once, as the row filling (row i all i) gives the term x^lam.
@@ -240,8 +235,7 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     layout = _layout(n)
     offset = _LetterSetOffsets(n).__getitem__
     max_weight = min(win.maxdeg, sum(lam) + BETA_MAX + 1)
-    terms = dict(Counter(sum(map(offset, tab), layout.zero)
-                         for tab in shifted_set_valued_tableaux(lam, n, max_weight)))
+    terms = dict(Counter(shifted_set_valued_tableaux(lam, n, max_weight, offset, layout.zero)))
     layout.check(terms)
     return MultiPoly._raw(n, terms)
 
@@ -252,14 +246,19 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
 
 
 @lru_cache(maxsize=1024)
-def _quotient_word(cuts: tuple[int, ...]) -> tuple[int, ...]:
-    """A reduced word of u = w0 * w0_J in S_n, n = cuts[-1], where w0_J
-    reverses each block of positions between consecutive cuts (0 = cuts[0]
-    < ... < cuts[-1] = n).  A polynomial symmetric in x_j, x_{j+1} inside
-    every block is fixed by pi_j there, so pi_{w0} = pi_u pi_{w0_J} acts on
-    it as pi_u.  Cutting at every position gives the long word."""
+def _quotient_word(cuts: tuple[int, ...], nvars: int) -> tuple[int, ...]:
+    """A reduced word of u = w0 * w0_J in S_n, n = cuts[-1], less its left
+    factor in <s_{nvars+1}, ..., s_{n-1}>; w0_J reverses each block between
+    consecutive cuts (0 = cuts[0] < ... < cuts[-1] = n).  pi_j fixes a
+    polynomial symmetric in x_j, x_{j+1}, so pi_{w0} acts as pi_u on one
+    symmetric inside every block.  pi_k with k > nvars fixes every term free
+    of x_k, x_{k+1} and writes no such term from any other, so the factor
+    is invisible in nvars variables; without it, u lists its values above
+    nvars in increasing order.  All cuts and nvars = n give the long word."""
     w0_J = Permutation.from_oneline(v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1))
-    return reduced_word(Permutation.longest(cuts[-1]) * w0_J)
+    high = iter(range(nvars + 1, cuts[-1] + 1))
+    u = (Permutation.longest(cuts[-1]) * w0_J).oneline
+    return reduced_word(Permutation.from_oneline(next(high) if v > nvars else v for v in u))
 
 
 def _apply_pi_truncated(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> MultiPoly:
@@ -284,22 +283,23 @@ def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
         return MultiPoly.zero(n)
     exps = lam + (0,) * (n - len(lam))
     cuts = (0, *(j for j in range(1, n) if exps[j - 1] > exps[j]), n)
-    return _apply_pi_truncated(_quotient_word(cuts), MultiPoly.monomial(exps), win.maxdeg)
+    return _apply_pi_truncated(_quotient_word(cuts, n), MultiPoly.monomial(exps), win.maxdeg)
 
 
 def stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     """Stable limit of the permutation family at the window: the isobaric
     long-word image pi_{w0} of the polynomial, computed in n = max(nvars,
     support) variables and then restricted.  Only the parabolic quotient
-    u = w0 * w0_J of the long word is applied, J the ascents of w in
-    1..n-1: the polynomial is symmetric at each ascent, where the isobaric
-    operator acts as the identity.  Exact at the window; zero when the
-    length of w exceeds maxdeg, since every term of the polynomial has
-    degree at least that length."""
+    u = w0 * w0_J of the long word is applied, J the ascents of w in 1..n-1
+    (the polynomial is symmetric at each ascent, where the isobaric operator
+    acts as the identity), less the left factor of u in the steps past
+    nvars, which the restriction cannot see.  Exact at the window; zero
+    when the length of w exceeds maxdeg, since every term of the polynomial
+    has degree at least that length."""
     if perm_length(w) > win.maxdeg:
         return MultiPoly.zero(win.nvars)
     n = max(win.nvars, w.support)
-    word = _quotient_word((0, *w.descents(), n))
+    word = _quotient_word((0, *w.descents(), n), win.nvars)
     f = _apply_pi_truncated(word, grothendieck(w).embed(n), win.maxdeg)
     return f.restrict(win.nvars)
 

@@ -6,12 +6,14 @@ Compares gp_partition, which counts each tableau under its packed monomial
 key, with oracle_gp_partition, which counts one exponent list per tableau,
 on all 25 strict shapes of size at most 8 at the window (6, 8), on (3, 2, 1)
 at (6, 10) and on (3, 1) at (6, 9): the same canonical text.  Then compares
-the tableaux that shifted_set_valued_tableaux yields, which skips every
-letter above its cell's cap, with those of oracle_fillings, which has no
-caps, in order: at 5 and 6 variables, for all 14 strict shapes of size at
-most 6 and the weights |lam| .. |lam| + 2.  Tier-1 reaches 3 and 4 variables
-at these sizes.  Prints one line per mismatch and a summary, and exits 1 on
-any failure.
+the tableaux that shifted_set_valued_tableaux yields with the tuple weight,
+a walk that skips every letter above its cell's cap, with those of
+oracle_fillings, which has no caps, in order; and the packed keys that the
+same walk folds for gp_partition with the key of 1 plus each oracle
+tableau's cell offsets, in order.  Both at 5 and 6 variables, for all 14
+strict shapes of size at most 6 and the weights |lam| .. |lam| + 2.  Tier-1
+reaches 3 and 4 variables at these sizes.  Prints one line per mismatch and
+a summary, and exits 1 on any failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ import time
 from itertools import zip_longest
 
 from spgroth.coxeter import partitions_of
-from spgroth.stable import Window, gp_partition, shifted_set_valued_tableaux
+from spgroth.polyring import _layout
+from spgroth.stable import (
+    Window,
+    _LetterSetOffsets,
+    gp_partition,
+    shifted_set_valued_tableaux,
+)
 
 from helpers import oracle_fillings, oracle_gp_partition, shifted_cells
 
@@ -34,9 +42,18 @@ ORDER_CASES = [(lam, nvars, size + extra) for size in range(7)
 
 
 def same_order(lam: tuple[int, ...], nvars: int, max_weight: int) -> bool:
+    """The tableaux in the oracle's order, and the packed keys that
+    gp_partition folds from the same walk: the key of 1 plus each tableau's
+    cell offsets."""
     cells, pools = shifted_cells(lam, nvars)
-    got = (dict(zip(cells, tab)) for tab in shifted_set_valued_tableaux(lam, nvars, max_weight))
-    return all(a == b for a, b in zip_longest(got, oracle_fillings(cells, pools, max_weight)))
+    zero = _layout(nvars).zero
+    offset = _LetterSetOffsets(nvars).__getitem__
+    tabs = shifted_set_valued_tableaux(lam, nvars, max_weight, lambda s: (s,), ())
+    keys = shifted_set_valued_tableaux(lam, nvars, max_weight, offset, zero)
+    return all(tab is not None and dict(zip(cells, tab)) == want
+               and key == sum(map(offset, tab), zero)
+               for tab, key, want in zip_longest(tabs, keys, oracle_fillings(cells, pools,
+                                                                              max_weight)))
 
 
 def main() -> int:

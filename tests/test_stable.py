@@ -4,6 +4,7 @@ import pytest
 
 from spgroth.coxeter import (
     FpfInvolution,
+    Permutation,
     ShiftedFpfInvolution,
     all_fpf_involutions,
     all_permutations,
@@ -18,6 +19,7 @@ from spgroth.grothendieck import _transposition_products, grothendieck, sp_groth
 from spgroth.polyring import (
     BetaInt,
     MultiPoly,
+    _layout,
     act_si,
     apply_word,
     isobaric,
@@ -26,7 +28,9 @@ from spgroth.polyring import (
 )
 from spgroth.stable import (
     Window,
+    _LetterSetOffsets,
     _letter_caps,
+    _quotient_word,
     _unframe,
     expand_in_G_basis,
     expand_in_GP_basis,
@@ -183,8 +187,8 @@ class TestTableauEngineAgainstBruteForce:
             for nvars in (1, 2):
                 cells, pools = shifted_cells(shape, nvars)
                 for max_weight in range(max(len(cells) - 1, 0), len(cells) + 3):
-                    got = sorted(tuple(zip(cells, t))
-                                 for t in shifted_set_valued_tableaux(shape, nvars, max_weight))
+                    got = sorted(tuple(zip(cells, t)) for t in shifted_set_valued_tableaux(
+                        shape, nvars, max_weight, lambda s: (s,), ()))
                     want = sorted(oracle_tableaux(cells, pools, max_weight,
                                                   _marked_le, _marked_col))
                     assert got == want, (shape, nvars, max_weight)
@@ -201,10 +205,39 @@ class TestFillingsAgainstOracle:
                 for nvars in (1, 2, 3, 4) if size <= 5 else (1, 2, 3):
                     cells, pools = shifted_cells(shape, nvars)
                     for max_weight in range(max(size - 1, 0), size + 4):
-                        got = [dict(zip(cells, tab))
-                               for tab in shifted_set_valued_tableaux(shape, nvars, max_weight)]
+                        got = [dict(zip(cells, tab)) for tab in shifted_set_valued_tableaux(
+                            shape, nvars, max_weight, lambda s: (s,), ())]
                         want = list(oracle_fillings(cells, pools, max_weight))
                         assert got == want, (shape, nvars, max_weight)
+
+
+class TestFoldedWalk:
+    """gp_partition folds each tableau into its packed key during the walk;
+    the same walk with the tuple weight yields the tableaux themselves, so
+    the keys must be the key of 1 plus each tableau's cell offsets, in
+    order."""
+
+    def test_keys_are_summed_offsets(self):
+        for size in range(7):
+            for shape in partitions_of(size, strict=True):
+                for nvars in (1, 2, 3, 4):
+                    zero = _layout(nvars).zero
+                    offset = _LetterSetOffsets(nvars).__getitem__
+                    for max_weight in range(max(size - 1, 0), size + 3):
+                        got = list(shifted_set_valued_tableaux(shape, nvars, max_weight,
+                                                               offset, zero))
+                        want = [sum(map(offset, tab), zero) for tab in shifted_set_valued_tableaux(
+                            shape, nvars, max_weight, lambda s: (s,), ())]
+                        assert got == want, (shape, nvars, max_weight)
+
+    def test_empty_shape_yields_start(self):
+        for max_weight in (0, 1, 3):
+            assert list(shifted_set_valued_tableaux((), 2, max_weight, len, "start")) == ["start"]
+
+    def test_one_cell_adds_start(self):
+        # one cell takes the last == 0 branch: start plus the weight of its set
+        got = list(shifted_set_valued_tableaux((1,), 2, 2, lambda s: [s], ["start"]))
+        assert got == [["start", (2,)], ["start", (4,)], ["start", (2, 4)]]
 
 
 class TestLetterCaps:
@@ -285,9 +318,31 @@ class TestStableGrothPerm:
                     assert act_si(j, f) == f, (w, j)
 
     def test_quotient_word_equals_long_word(self):
+        # below the support, the quotient word also drops its steps past nvars
         for w in all_permutations(5):
-            for win in (Window(4, 6), Window(6, 8)):
+            for win in (Window(1, 4), Window(2, 6), Window(4, 6), Window(6, 8)):
                 assert stable_groth_perm(w, win) == long_word_stable_groth_perm(w, win), (w, win)
+
+    def test_no_left_factor_past_nvars(self):
+        # dropping the left factor v in <s_{nvars+1}, ...> from u leaves
+        # the positions of the values up to nvars and lists the others in
+        # increasing order, so no reduced word of what is left starts past
+        # nvars; with nvars = n nothing is dropped
+        def oneline(word, n):
+            u = Permutation.identity()
+            for i in word:
+                u = u * Permutation.s(i)
+            return [u(i) for i in range(1, n + 1)]
+
+        for cuts in [(0, 6), (0, 2, 6), (0, 1, 3, 4, 6), (0, 1, 2, 3, 4, 5, 6)]:
+            full = oneline(_quotient_word(cuts, 6), 6)
+            for nvars in range(1, 7):
+                u = oneline(_quotient_word(cuts, nvars), 6)
+                assert ([v if v <= nvars else 0 for v in u]
+                        == [v if v <= nvars else 0 for v in full]), (cuts, nvars)
+                high = [v for v in u if v > nvars]
+                assert high == sorted(high), (cuts, nvars)
+        assert _quotient_word((0, 1, 2, 3), 3) == (1, 2, 1)
 
     def test_zero_past_length(self, monkeypatch):
         # every term of the polynomial has degree at least the length, so
@@ -319,7 +374,8 @@ class TestShiftedTableaux:
     def _tableaux(shape, nvars, max_weight):
         # keyed by (row, column) of the shifted shape
         cells, _ = shifted_cells(shape, nvars)
-        return [dict(zip(cells, t)) for t in shifted_set_valued_tableaux(shape, nvars, max_weight)]
+        return [dict(zip(cells, t)) for t in shifted_set_valued_tableaux(
+            shape, nvars, max_weight, lambda s: (s,), ())]
 
     def test_single_cell_diagonal_unprimed(self):
         tabs = self._tableaux((1,), 2, 3)
