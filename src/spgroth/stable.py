@@ -193,21 +193,16 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
             yield running + w
 
 
-class _LetterSetOffsets(dict):
-    """The packed-key offset of each letter set S in nvars variables, made
-    on first lookup: the key of beta^(|S| - 1) x^content(S) less that of 1."""
-
-    __slots__ = ("layout",)
-
-    def __init__(self, nvars: int):
-        self.layout = _layout(nvars)
-
-    def __missing__(self, subset: tuple[int, ...]) -> int:
-        exps = [0] * self.layout.nvars
-        for m in subset:
-            exps[(m - 1) // 2] += 1
-        offset = self[subset] = self.layout.pack(len(subset) - 1, tuple(exps)) - self.layout.zero
-        return offset
+def _letter_set_weight(nvars: int):
+    """The packed-key offset of a letter set S in nvars variables, the key
+    of beta^(|S| - 1) x^content(S) less that of 1.  Keys are linear while
+    no field carries, so it is the sum of the units of S's letters, 2v - 1
+    and 2v each adding that of beta x_v, less the unit of beta."""
+    layout = _layout(nvars)
+    # units[v] is the unit of beta x_v, and units[0] that of beta alone
+    units = [layout.pack(1, tuple(int(j == v) for j in range(1, nvars + 1))) - layout.zero
+             for v in range(nvars + 1)]
+    return lambda subset: sum(units[(m + 1) // 2] for m in subset) - units[0]
 
 
 def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
@@ -218,14 +213,14 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     |lam| exceeds maxdeg, since every cell holds a letter.
 
     The walk folds each tableau into its packed key: the key of 1 plus, per
-    cell, the key of beta^(|S| - 1) x^content(S) less that of 1, S the
-    cell's letter set, as keys are linear in their fields while none
-    carries.  A value is unprimed at most once per column and primed at
-    most once per row, so an exponent is at most 2 lam_1; lam_1 > EXP_MAX
-    raises at once, as the row filling (row i all i) gives the term x^lam.
-    Tableaux stop one beta power past BETA_MAX, which some tableau reaches
-    if any passes it, since dropping a letter from a cell of two keeps a
-    tableau.  One range check then covers every key."""
+    cell, the offset of its letter set (_letter_set_weight), as keys are
+    linear in their fields while none carries.  A value is unprimed at most
+    once per column and primed at most once per row, so an exponent is at
+    most 2 lam_1; lam_1 > EXP_MAX raises at once, as the row filling (row i
+    all i) gives the term x^lam.  Tableaux stop one beta power past
+    BETA_MAX, which some tableau reaches if any passes it, since dropping a
+    letter from a cell of two keeps a tableau.  One range check then covers
+    every key."""
     lam = as_strict_partition(lam)
     n = win.nvars
     if len(lam) > n or sum(lam) > win.maxdeg:
@@ -233,9 +228,9 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     if lam and lam[0] > EXP_MAX:
         raise ExponentRangeError(f"exponent {lam[0]}")
     layout = _layout(n)
-    offset = _LetterSetOffsets(n).__getitem__
     max_weight = min(win.maxdeg, sum(lam) + BETA_MAX + 1)
-    terms = dict(Counter(shifted_set_valued_tableaux(lam, n, max_weight, offset, layout.zero)))
+    terms = dict(Counter(shifted_set_valued_tableaux(lam, n, max_weight,
+                                                     _letter_set_weight(n), layout.zero)))
     layout.check(terms)
     return MultiPoly._raw(n, terms)
 
@@ -248,17 +243,18 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
 @lru_cache(maxsize=1024)
 def _quotient_word(cuts: tuple[int, ...], nvars: int) -> tuple[int, ...]:
     """A reduced word of u = w0 * w0_J in S_n, n = cuts[-1], less its left
-    factor in <s_{nvars+1}, ..., s_{n-1}>; w0_J reverses each block between
+    factor in <s_nvars, ..., s_{n-1}>; w0_J reverses each block between
     consecutive cuts (0 = cuts[0] < ... < cuts[-1] = n).  pi_j fixes a
     polynomial symmetric in x_j, x_{j+1}, so pi_{w0} acts as pi_u on one
-    symmetric inside every block.  pi_k with k > nvars fixes every term free
-    of x_k, x_{k+1} and writes no such term from any other, so the factor
-    is invisible in nvars variables; without it, u lists its values above
-    nvars in increasing order.  All cuts and nvars = n give the long word."""
+    symmetric inside every block.  pi_k with k >= nvars is the identity
+    modulo (x_{nvars+1}, ..., x_n) and maps that ideal into itself, so the
+    factor is invisible in nvars variables; without it, u lists its values
+    from nvars on in increasing order.  All cuts and nvars = n give the
+    long word."""
     w0_J = Permutation.from_oneline(v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1))
-    high = iter(range(nvars + 1, cuts[-1] + 1))
+    high = iter(range(nvars, cuts[-1] + 1))
     u = (Permutation.longest(cuts[-1]) * w0_J).oneline
-    return reduced_word(Permutation.from_oneline(next(high) if v > nvars else v for v in u))
+    return reduced_word(Permutation.from_oneline(next(high) if v >= nvars else v for v in u))
 
 
 def _apply_pi_truncated(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> MultiPoly:
@@ -292,8 +288,8 @@ def stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
     support) variables and then restricted.  Only the parabolic quotient
     u = w0 * w0_J of the long word is applied, J the ascents of w in 1..n-1
     (the polynomial is symmetric at each ascent, where the isobaric operator
-    acts as the identity), less the left factor of u in the steps past
-    nvars, which the restriction cannot see.  Exact at the window; zero
+    acts as the identity), less the left factor of u in the steps from
+    nvars on, which the restriction cannot see.  Exact at the window; zero
     when the length of w exceeds maxdeg, since every term of the polynomial
     has degree at least that length."""
     if perm_length(w) > win.maxdeg:

@@ -10,10 +10,10 @@ the tableaux that shifted_set_valued_tableaux yields with the tuple weight,
 a walk that skips every letter above its cell's cap, with those of
 oracle_fillings, which has no caps, in order; and the packed keys that the
 same walk folds for gp_partition with the key of 1 plus each oracle
-tableau's cell offsets, in order.  Both at 5 and 6 variables, for all 14
-strict shapes of size at most 6 and the weights |lam| .. |lam| + 2.  Tier-1
-reaches 3 and 4 variables at these sizes.  Prints one line per mismatch and
-a summary, and exits 1 on any failure.
+tableau's cell offsets, each taken from pack, in order.  Both at 5 and 6
+variables, for all 14 strict shapes of size at most 6 and the weights
+|lam| .. |lam| + 2.  Tier-1 reaches 3 and 4 variables at these sizes.
+Prints one line per mismatch and a summary, and exits 1 on any failure.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from spgroth.coxeter import partitions_of
 from spgroth.polyring import _layout
 from spgroth.stable import (
     Window,
-    _LetterSetOffsets,
+    _letter_set_weight,
     gp_partition,
     shifted_set_valued_tableaux,
 )
 
-from helpers import oracle_fillings, oracle_gp_partition, shifted_cells
+from helpers import letter_set_offset, oracle_fillings, oracle_gp_partition, shifted_cells
 
 CASES = ([(lam, Window(6, 8)) for size in range(9) for lam in partitions_of(size, strict=True)]
          + [((3, 2, 1), Window(6, 10)), ((3, 1), Window(6, 9))])
@@ -44,14 +44,13 @@ ORDER_CASES = [(lam, nvars, size + extra) for size in range(7)
 def same_order(lam: tuple[int, ...], nvars: int, max_weight: int) -> bool:
     """The tableaux in the oracle's order, and the packed keys that
     gp_partition folds from the same walk: the key of 1 plus each tableau's
-    cell offsets."""
+    cell offsets, each taken from pack."""
     cells, pools = shifted_cells(lam, nvars)
     zero = _layout(nvars).zero
-    offset = _LetterSetOffsets(nvars).__getitem__
     tabs = shifted_set_valued_tableaux(lam, nvars, max_weight, lambda s: (s,), ())
-    keys = shifted_set_valued_tableaux(lam, nvars, max_weight, offset, zero)
+    keys = shifted_set_valued_tableaux(lam, nvars, max_weight, _letter_set_weight(nvars), zero)
     return all(tab is not None and dict(zip(cells, tab)) == want
-               and key == sum(map(offset, tab), zero)
+               and key == sum((letter_set_offset(s, nvars) for s in tab), zero)
                for tab, key, want in zip_longest(tabs, keys, oracle_fillings(cells, pools,
                                                                               max_weight)))
 

@@ -553,6 +553,18 @@ def shifted_cells(lam: tuple[int, ...], nvars: int):
     return cells, [letters if i != j else unprimed for i, j in cells]
 
 
+@cache
+def letter_set_offset(subset: tuple[int, ...], nvars: int) -> int:
+    """The packed-key offset of a letter set in nvars variables, straight
+    from pack: the key of beta^(|S| - 1) x^content(S) less that of 1, the
+    letters 2v - 1 and 2v counting towards x_v."""
+    exps = [0] * nvars
+    for m in subset:
+        exps[(m - 1) // 2] += 1
+    layout = _layout(nvars)
+    return layout.pack(len(subset) - 1, tuple(exps)) - layout.zero
+
+
 def oracle_gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
     """The shifted shape series at the window as the sum of beta^(letters -
     |lam|) x^content over the shifted set-valued tableaux, one exponent list

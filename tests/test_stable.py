@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import pytest
 
@@ -28,8 +29,8 @@ from spgroth.polyring import (
 )
 from spgroth.stable import (
     Window,
-    _LetterSetOffsets,
     _letter_caps,
+    _letter_set_weight,
     _quotient_word,
     _unframe,
     expand_in_G_basis,
@@ -48,6 +49,7 @@ from helpers import (
     gp_sp_stabilized,
     gp_via_pi_formula,
     grassmannian_perm,
+    letter_set_offset,
     long_word_stable_groth_partition,
     long_word_stable_groth_perm,
     oracle_beta_zero,
@@ -214,21 +216,31 @@ class TestFillingsAgainstOracle:
 class TestFoldedWalk:
     """gp_partition folds each tableau into its packed key during the walk;
     the same walk with the tuple weight yields the tableaux themselves, so
-    the keys must be the key of 1 plus each tableau's cell offsets, in
-    order."""
+    the keys must be the key of 1 plus each tableau's cell offsets, each
+    taken from pack, in order."""
 
     def test_keys_are_summed_offsets(self):
         for size in range(7):
             for shape in partitions_of(size, strict=True):
                 for nvars in (1, 2, 3, 4):
                     zero = _layout(nvars).zero
-                    offset = _LetterSetOffsets(nvars).__getitem__
                     for max_weight in range(max(size - 1, 0), size + 3):
                         got = list(shifted_set_valued_tableaux(shape, nvars, max_weight,
-                                                               offset, zero))
-                        want = [sum(map(offset, tab), zero) for tab in shifted_set_valued_tableaux(
-                            shape, nvars, max_weight, lambda s: (s,), ())]
+                                                               _letter_set_weight(nvars), zero))
+                        want = [sum((letter_set_offset(s, nvars) for s in tab), zero)
+                                for tab in shifted_set_valued_tableaux(
+                                    shape, nvars, max_weight, lambda s: (s,), ())]
                         assert got == want, (shape, nvars, max_weight)
+
+    def test_weight_is_the_packed_offset(self):
+        # the sum of the letters' units less one beta is the key of
+        # beta^(|S| - 1) x^content(S) less that of 1, for every letter set
+        for nvars in range(1, 7):
+            weight = _letter_set_weight(nvars)
+            letters = range(1, 2 * nvars + 1)
+            for size in range(1, 5):
+                for subset in itertools.combinations(letters, size):
+                    assert weight(subset) == letter_set_offset(subset, nvars), (nvars, subset)
 
     def test_empty_shape_yields_start(self):
         for max_weight in (0, 1, 3):
@@ -318,16 +330,16 @@ class TestStableGrothPerm:
                     assert act_si(j, f) == f, (w, j)
 
     def test_quotient_word_equals_long_word(self):
-        # below the support, the quotient word also drops its steps past nvars
+        # below the support, the quotient word also drops its steps from nvars on
         for w in all_permutations(5):
             for win in (Window(1, 4), Window(2, 6), Window(4, 6), Window(6, 8)):
                 assert stable_groth_perm(w, win) == long_word_stable_groth_perm(w, win), (w, win)
 
     def test_no_left_factor_past_nvars(self):
-        # dropping the left factor v in <s_{nvars+1}, ...> from u leaves
-        # the positions of the values up to nvars and lists the others in
-        # increasing order, so no reduced word of what is left starts past
-        # nvars; with nvars = n nothing is dropped
+        # dropping the left factor v in <s_nvars, ...> from u leaves the
+        # positions of the values below nvars and lists the others in
+        # increasing order, so no reduced word of what is left starts at
+        # nvars or past it; with nvars = n nothing is dropped
         def oneline(word, n):
             u = Permutation.identity()
             for i in word:
@@ -338,9 +350,9 @@ class TestStableGrothPerm:
             full = oneline(_quotient_word(cuts, 6), 6)
             for nvars in range(1, 7):
                 u = oneline(_quotient_word(cuts, nvars), 6)
-                assert ([v if v <= nvars else 0 for v in u]
-                        == [v if v <= nvars else 0 for v in full]), (cuts, nvars)
-                high = [v for v in u if v > nvars]
+                assert ([v if v < nvars else 0 for v in u]
+                        == [v if v < nvars else 0 for v in full]), (cuts, nvars)
+                high = [v for v in u if v >= nvars]
                 assert high == sorted(high), (cuts, nvars)
         assert _quotient_word((0, 1, 2, 3), 3) == (1, 2, 1)
 
