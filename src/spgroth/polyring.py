@@ -190,12 +190,14 @@ class _Layout:
         self.shift = tuple(w * (nvars - j) for j in range(nvars))  # of x_1..x_n
         self.top = w * (nvars + 1)  # of the total degree
         # the key of 1; also the mask of the bit that is set in an exponent
-        # field exactly when the exponent is nonnegative
-        self.zero = sum(_BIAS << s for s in self.shift)
-        self.guard = sum(_GUARD << (w * j) for j in range(nvars + 1))
+        # field exactly when the exponent is nonnegative.  Both masks repeat
+        # one field, so they are built from bytes in linear time
+        field = w // 8
+        self.zero = int.from_bytes(_BIAS.to_bytes(field, "big") * nvars + bytes(field), "big")
+        self.guard = int.from_bytes(_GUARD.to_bytes(field, "big") * (nvars + 1), "big")
         self.x_mask = (1 << (w * nvars)) - 1
         self.x_bias = self.zero >> w
-        self.nbytes = w // 8 * nvars
+        self.nbytes = field * nvars
         self.unpack_x = struct.Struct(">" + _FIELD_CODE * nvars).unpack
         self.pack_fields = struct.Struct(">" + _FIELD_CODE * (nvars + 1)).pack
         self.x_guard = self.guard ^ _GUARD  # the guard bits of the exponents

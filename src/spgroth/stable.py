@@ -11,8 +11,10 @@ GP_lam: one generator, shifted_set_valued_tableaux, walks the tableaux and
 folds each into a start value plus a weight per cell, so GP_lam gets each
 tableau's packed monomial key for one add.  Per-cell letter caps keep each
 cell to letters that the cells after it can still follow, so no branch of
-the walk ends empty.  Ordinary set-valued tableaux are the test oracle for
-G_lam and live in the tests.
+the walk ends empty, and the last two cells come from memoized tables, so
+the walk does its per-node work once per filling of the cells before them.
+Ordinary set-valued tableaux are the test oracle for G_lam and live in the
+tests.
 
 Symmetric-series identities are always asserted "at a window": in the
 variables x_1..nvars, modulo terms of total degree above maxdeg.  Expansion
@@ -129,8 +131,13 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     tableau completes.  A cell's subsets depend only on its lower bound and
     its letter budget, so those of each (cell, bound, budget) and their
     weights are built once per call and shared.  Each level keeps its
-    running value, start plus the weights before it, and the last cell
-    loops over its weights: one add per tableau."""
+    running value, start plus the weights before it.  The stack stops at
+    the next-to-last cell, the pair cell: the last cell's subsets depend
+    only on the pair cell's bound and budget, its subset, and the largest
+    letter of the last cell's upper neighbour when that neighbour comes
+    before the pair cell.  So per such key a table lists, for each subset
+    of the pair cell, its weight and the last cell's weights, and the two
+    cells loop over it: one add per tableau."""
     shape = as_strict_partition(shape)
     cells = [(i, i + j) for i, part in enumerate(shape) for j in range(part)]
     ncells = len(cells)
@@ -152,45 +159,71 @@ def shifted_set_valued_tableaux(shape: tuple[int, ...], nvars: int, max_weight: 
     value = [start] * ncells  # start plus the weights of the cells before each cell
     memo: dict[tuple[int, int, int], tuple[tuple, tuple]] = {}
 
-    def options(t: int) -> tuple[tuple, tuple]:
-        # the subsets' weights, and the subsets as (largest letter, size, weight)
+    def bound(t: int) -> tuple[int, int, int]:
+        # the cell, its lower bound and its letter budget
         m = top[left[t]]
         lo = m + 1 if m & 1 else m
         m = top[above[t]]
         if m >= lo:
             lo = m if m & 1 else m + 1
-        key = (t, lo, max_weight - used[t] - (ncells - t - 1))
+        return t, lo, max_weight - used[t] - (ncells - t - 1)
+
+    def options(key: tuple[int, int, int]) -> tuple[tuple, tuple]:
+        # the subsets' weights, and the subsets as (largest letter, size, weight)
         entry = memo.get(key)
         if entry is None:
+            t, lo, budget = key
             pool = pools[t][bisect_left(pools[t], lo):stop[t]]
             subsets = tuple(itertools.chain.from_iterable(
                 itertools.combinations(pool, size)
-                for size in range(1, min(key[2], len(pool)) + 1)))
+                for size in range(1, min(budget, len(pool)) + 1)))
             weights = tuple(map(weight, subsets))
             entry = memo[key] = weights, tuple(zip(map(max, subsets), map(len, subsets), weights))
         return entry
 
     last = ncells - 1
     if last == 0:
-        for w in options(0)[0]:
+        for w in options(bound(0))[0]:
             yield start + w
         return
-    stack = [iter(options(0)[1])]
-    while stack:
-        t = len(stack) - 1
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        top[t], size, w = node
-        used[t + 1] = used[t] + size
-        value[t + 1] = value[t] + w
-        if t + 1 < last:
-            stack.append(iter(options(t + 1)[1]))
-            continue
-        running = value[last]
-        for w in options(last)[0]:
-            yield running + w
+    pair = last - 1
+    # the last cell's upper neighbour when it comes before the pair cell, or
+    # the sentinel; a neighbour at the pair cell is read from each subset
+    up = above[last] if above[last] < pair else ncells
+    tables: dict[tuple[int, int, int, int], list[tuple]] = {}
+
+    def prefixes():
+        # the running value at the pair cell of each filling of the cells before it
+        if pair == 0:
+            yield start
+            return
+        stack = [iter(options(bound(0))[1])]
+        while stack:
+            t = len(stack) - 1
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            top[t], size, w = node
+            used[t + 1] = used[t] + size
+            value[t + 1] = value[t] + w
+            if t + 1 < pair:
+                stack.append(iter(options(bound(t + 1))[1]))
+            else:
+                yield value[pair]
+
+    for running in prefixes():
+        key = bound(pair) + (top[up],)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = []
+            for top[pair], size, w in options(key[:3])[1]:
+                used[last] = used[pair] + size
+                table.append((w, options(bound(last))[0]))
+        for w1, weights in table:
+            running1 = running + w1
+            for w in weights:
+                yield running1 + w
 
 
 def _letter_set_weight(nvars: int):

@@ -12,7 +12,10 @@ from spgroth.coxeter import (
 )
 from spgroth.grothendieck import sp_grothendieck
 from spgroth.polyring import (
+    _BIAS,
     _CHUNK,
+    _GUARD,
+    _Layout,
     _add_multiple,
     _layout,
     _product,
@@ -20,6 +23,7 @@ from spgroth.polyring import (
     BETA_MAX,
     EXP_MAX,
     EXP_MIN,
+    FIELD_BITS,
     BetaInt,
     ExponentRangeError,
     MultiPoly,
@@ -688,6 +692,23 @@ class TestPackedRange:
                              else rng.randint(EXP_MIN, EXP_MAX) for _ in range(n))
                 bp = rng.choice((0, 1, BETA_MAX, rng.randint(0, BETA_MAX)))
                 assert _layout(n).pack(bp, exps) == ref_pack(n, bp, exps), (bp, exps)
+
+    def test_masks_equal_field_by_field(self):
+        # fields from the bottom: beta in field 0, x_n .. x_1 in fields
+        # 1 .. n, then the total degree; the key of 1 holds the bias in each
+        # exponent field, the guard mask the guard bit of all but the top
+        w = FIELD_BITS
+        for n in range(1, 41):
+            lay = _Layout(n)
+            x_fields = range(1, n + 1)
+            assert lay.zero == sum(_BIAS << (w * f) for f in x_fields), n
+            assert lay.guard == sum(_GUARD << (w * f) for f in range(n + 1)), n
+            assert lay.x_bias == sum(_BIAS << (w * (f - 1)) for f in x_fields), n
+            assert lay.x_guard == sum(_GUARD << (w * f) for f in x_fields), n
+        # the masks repeat one field, so many variables cost linear time
+        lay = _Layout(100_000)
+        assert lay.zero >> (w * 100_000) == _BIAS and lay.zero & (1 << w) - 1 == 0
+        assert bin(lay.zero).count("1") == 100_000 and bin(lay.guard).count("1") == 100_001
 
     def test_pack_errors_equal_loop(self):
         # the same error for an out-of-range value in each field: beta is

@@ -252,6 +252,49 @@ class TestFoldedWalk:
         assert got == [["start", (2,)], ["start", (4,)], ["start", (2, 4)]]
 
 
+class TestPairTables:
+    """The walk fills its last two cells from a table per (bound and budget
+    of the next-to-last cell, largest letter of the last cell's upper
+    neighbour when that comes earlier).  Each position of the last cell,
+    in order against the uncapped oracle, as tableaux and as packed keys."""
+
+    POSITIONS = {
+        "opens a row below the pair cell": [(2, 1), (3, 2, 1)],
+        "upper neighbour before the pair cell": [(3, 1), (4, 2), (5, 3)],
+        "single row": [(3,), (5,)],
+        "one or two cells": [(1,), (2,)],
+    }
+
+    @staticmethod
+    def position(cells: list[tuple[int, int]]) -> str:
+        if len(cells) <= 2:
+            return "one or two cells"
+        i, j = cells[-1]
+        if (i - 1, j) not in cells:
+            return "single row"
+        if cells.index((i - 1, j)) == len(cells) - 2:
+            return "opens a row below the pair cell"
+        return "upper neighbour before the pair cell"
+
+    @pytest.mark.parametrize("where, shape", [
+        pytest.param(where, shape, id=",".join(map(str, shape)))
+        for where, shapes in POSITIONS.items() for shape in shapes])
+    def test_in_order_against_oracle(self, where, shape):
+        for nvars in (3, 4):
+            cells, pools = shifted_cells(shape, nvars)
+            assert self.position(cells) == where
+            zero = _layout(nvars).zero
+            for max_weight in range(sum(shape), sum(shape) + 3):
+                tabs = list(shifted_set_valued_tableaux(shape, nvars, max_weight,
+                                                        lambda s: (s,), ()))
+                assert [dict(zip(cells, tab)) for tab in tabs] == list(
+                    oracle_fillings(cells, pools, max_weight)), (shape, nvars, max_weight)
+                keys = list(shifted_set_valued_tableaux(shape, nvars, max_weight,
+                                                        _letter_set_weight(nvars), zero))
+                assert keys == [sum((letter_set_offset(c, nvars) for c in tab), zero)
+                                for tab in tabs], (shape, nvars, max_weight)
+
+
 class TestLetterCaps:
     def test_cap_is_the_largest_letter_held(self):
         # singletons complete any partial tableau that fits the caps, so the
