@@ -2,19 +2,23 @@
 
 Stable limits are isobaric long-word images pi_{w0}, taken over a parabolic
 quotient: the shape series G_lam is pi_{w0} of x^lam, and the stable limit
-of a permutation is pi_{w0} of its polynomial.  Every term of a family
-polynomial has degree at least the length of its index, and an isobaric
-step never lowers a degree, so a stable limit whose index is longer than
-the window's degree bound is zero and is returned before any polynomial is
-built.  Set-valued tableaux remain only for the shifted shape series
-GP_lam: one generator, shifted_set_valued_tableaux, walks the tableaux and
-folds each into a start value plus a weight per cell, so GP_lam gets each
-tableau's packed monomial key for one add.  Per-cell letter caps keep each
-cell to letters that the cells after it can still follow, so no branch of
-the walk ends empty, and the last two cells come from memoized tables, so
-the walk does its per-node work once per filling of the cells before them.
-Ordinary set-valued tableaux are the test oracle for G_lam and live in the
-tests.
+of a permutation is pi_{w0} of its polynomial, both in the window's k
+variables.  The rho_k rules, rho_k setting x_{k+1}, x_{k+2}, ... to 0:
+rho_k pi_i = rho_k for i >= k, and rho_k pi_i = pi_i rho_k for i < k.  So
+a polynomial in more variables is restricted first, and only S_k acts.
+Every term of a family polynomial has degree at least the length of its
+index, and an isobaric step never lowers a degree, so a stable limit whose
+index is longer than the window's degree bound is zero and is returned
+before any polynomial is built.
+
+Set-valued tableaux remain only for the shifted shape series GP_lam: one
+generator, shifted_set_valued_tableaux, walks the tableaux and folds each
+into a start value plus a weight per cell, so GP_lam gets each tableau's
+packed monomial key for one add.  Per-cell letter caps keep each cell to
+letters that the cells after it can still follow, so no branch of the walk
+ends empty, and the last two cells come from memoized tables, so the walk
+does its per-node work once per filling of the cells before them.  Ordinary
+set-valued tableaux are the test oracle for G_lam and live in the tests.
 
 Symmetric-series identities are always asserted "at a window": in the
 variables x_1..nvars, modulo terms of total degree above maxdeg.  Expansion
@@ -274,20 +278,14 @@ def gp_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
 
 
 @lru_cache(maxsize=1024)
-def _quotient_word(cuts: tuple[int, ...], nvars: int) -> tuple[int, ...]:
-    """A reduced word of u = w0 * w0_J in S_n, n = cuts[-1], less its left
-    factor in <s_nvars, ..., s_{n-1}>; w0_J reverses each block between
-    consecutive cuts (0 = cuts[0] < ... < cuts[-1] = n).  pi_j fixes a
-    polynomial symmetric in x_j, x_{j+1}, so pi_{w0} acts as pi_u on one
-    symmetric inside every block.  pi_k with k >= nvars is the identity
-    modulo (x_{nvars+1}, ..., x_n) and maps that ideal into itself, so the
-    factor is invisible in nvars variables; without it, u lists its values
-    from nvars on in increasing order.  All cuts and nvars = n give the
-    long word."""
+def _quotient_word(cuts: tuple[int, ...]) -> tuple[int, ...]:
+    """A reduced word of u = w0 * w0_J in S_n, n = cuts[-1]; w0_J reverses
+    each block between consecutive cuts (0 = cuts[0] < ... < cuts[-1] = n).
+    pi_j fixes a polynomial symmetric in x_j, x_{j+1}, so pi_{w0} acts as
+    pi_u on one symmetric inside every block.  All cuts give the long
+    word."""
     w0_J = Permutation.from_oneline(v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1))
-    high = iter(range(nvars, cuts[-1] + 1))
-    u = (Permutation.longest(cuts[-1]) * w0_J).oneline
-    return reduced_word(Permutation.from_oneline(next(high) if v >= nvars else v for v in u))
+    return reduced_word(Permutation.longest(cuts[-1]) * w0_J)
 
 
 def _apply_pi_truncated(word: tuple[int, ...], f: MultiPoly, maxdeg: int) -> MultiPoly:
@@ -312,25 +310,23 @@ def stable_groth_partition(lam: tuple[int, ...], win: Window) -> MultiPoly:
         return MultiPoly.zero(n)
     exps = lam + (0,) * (n - len(lam))
     cuts = (0, *(j for j in range(1, n) if exps[j - 1] > exps[j]), n)
-    return _apply_pi_truncated(_quotient_word(cuts, n), MultiPoly.monomial(exps), win.maxdeg)
+    return _apply_pi_truncated(_quotient_word(cuts), MultiPoly.monomial(exps), win.maxdeg)
 
 
 def stable_groth_perm(w: Permutation, win: Window) -> MultiPoly:
-    """Stable limit of the permutation family at the window: the isobaric
-    long-word image pi_{w0} of the polynomial, computed in n = max(nvars,
-    support) variables and then restricted.  Only the parabolic quotient
-    u = w0 * w0_J of the long word is applied, J the ascents of w in 1..n-1
-    (the polynomial is symmetric at each ascent, where the isobaric operator
-    acts as the identity), less the left factor of u in the steps from
-    nvars on, which the restriction cannot see.  Exact at the window; zero
-    when the length of w exceeds maxdeg, since every term of the polynomial
-    has degree at least that length."""
+    """Stable limit of the permutation family at the window: by the rho_k
+    rules, pi_{w0} of S_k applied to rho_k of the polynomial, k = nvars
+    (restrict embeds a smaller support).  That is symmetric at each ascent
+    of w below k, where the isobaric operator acts as the identity, so only
+    the parabolic quotient u = w0 * w0_J of S_k applies, J the ascents of w
+    in 1..k-1.  Exact at the window; zero when the length of w exceeds
+    maxdeg, since every term of the polynomial has degree at least that
+    length."""
     if perm_length(w) > win.maxdeg:
         return MultiPoly.zero(win.nvars)
-    n = max(win.nvars, w.support)
-    word = _quotient_word((0, *w.descents(), n), win.nvars)
-    f = _apply_pi_truncated(word, grothendieck(w).embed(n), win.maxdeg)
-    return f.restrict(win.nvars)
+    k = win.nvars
+    word = _quotient_word((0, *(d for d in w.descents() if d < k), k))
+    return _apply_pi_truncated(word, grothendieck(w).restrict(k), win.maxdeg)
 
 
 @lru_cache(maxsize=256)

@@ -325,6 +325,16 @@ def gp_sp_stabilized(z: FpfInvolution, win: Window) -> MultiPoly:
     raise RuntimeError(f"no window stabilization within {max_extra} steps")
 
 
+def gp_sp_in_window(z: FpfInvolution, win: Window) -> MultiPoly:
+    """The symplectic stable limit in the window's variables: the whole long
+    word of S_nvars applied to the symplectic polynomial restricted to
+    x_1..x_nvars, truncated after every isobaric step.  Restricting first
+    is exact, since setting x_{k+1}, x_{k+2}, ... to 0 absorbs pi_i for
+    i >= k and commutes with pi_i for i < k."""
+    f = sp_grothendieck(z).restrict(win.nvars)
+    return _truncate_each_step(_long_word(win.nvars), f, win.maxdeg)
+
+
 def sp_grassmannian_formula(z: FpfInvolution) -> MultiPoly:
     """The paper's closed isobaric formula for the symplectic polynomial of
     an FPF-Grassmannian involution, via its decoded (n, phi) data."""

@@ -420,6 +420,18 @@ class TestIsobaric:
             g = isobaric(i, f)
             assert isobaric(i, g) == g
 
+    def test_restriction_rules(self, rng):
+        # with rho_k setting x_{k+1}, x_{k+2}, ... to 0: rho_k pi_i = rho_k
+        # for i >= k, and rho_k pi_i = pi_i rho_k for i < k
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            f = random_beta_poly(rng, nvars=n, max_deg=3, terms=8)
+            for i in range(1, n):
+                g = isobaric(i, f)
+                for k in range(1, n + 1):
+                    want = f.restrict(k) if i >= k else isobaric(i, f.restrict(k))
+                    assert g.restrict(k) == want, (f, i, k)
+
 
 class TestFixedPointCharacterizations:
     @given(poly_strategy())

@@ -13,6 +13,7 @@ from spgroth.coxeter import (
     partitions_of,
     parse_fpf,
     parse_permutation,
+    perm_length,
     shift_fpf,
 )
 import spgroth.stable as stable
@@ -46,6 +47,7 @@ from spgroth.stable import (
 )
 
 from helpers import (
+    gp_sp_in_window,
     gp_sp_stabilized,
     gp_via_pi_formula,
     grassmannian_perm,
@@ -373,31 +375,51 @@ class TestStableGrothPerm:
                     assert act_si(j, f) == f, (w, j)
 
     def test_quotient_word_equals_long_word(self):
-        # below the support, the quotient word also drops its steps from nvars on
-        for w in all_permutations(5):
-            for win in (Window(1, 4), Window(2, 6), Window(4, 6), Window(6, 8)):
-                assert stable_groth_perm(w, win) == long_word_stable_groth_perm(w, win), (w, win)
+        # with fewer variables than the support, the polynomial is
+        # restricted to the window's before the quotient word of S_nvars
+        for n, windows in [(5, (Window(1, 4), Window(2, 6), Window(4, 6), Window(6, 8))),
+                           (6, (Window(1, 6), Window(2, 6), Window(3, 6), Window(4, 8)))]:
+            for w in all_permutations(n):
+                for win in windows:
+                    assert (stable_groth_perm(w, win)
+                            == long_word_stable_groth_perm(w, win)), (w, win)
 
-    def test_no_left_factor_past_nvars(self):
-        # dropping the left factor v in <s_nvars, ...> from u leaves the
-        # positions of the values below nvars and lists the others in
-        # increasing order, so no reduced word of what is left starts at
-        # nvars or past it; with nvars = n nothing is dropped
-        def oneline(word, n):
+    def test_isobaric_only_in_window_variables(self, monkeypatch):
+        steps = []
+
+        def guarded(i, f, max_degree=None):
+            if f.nvars != win.nvars:
+                raise AssertionError(f"isobaric step in {f.nvars} variables at {win!r}")
+            steps.append(i)
+            return isobaric(i, f, max_degree)
+
+        monkeypatch.setattr(stable, "isobaric", guarded)
+        # windows below, at and above the supports of S_6; one variable
+        # leaves no step
+        for win in (Window(1, 4), Window(3, 6), Window(6, 7), Window(7, 6)):
+            steps.clear()
+            for w in all_permutations(6):
+                stable_groth_perm(w, win)
+            assert bool(steps) == (win.nvars > 1), win
+
+    def test_quotient_word_is_reduced_word_of_w0_w0J(self):
+        # w0_J reverses each block between consecutive cuts
+        def product(word):
             u = Permutation.identity()
             for i in word:
                 u = u * Permutation.s(i)
-            return [u(i) for i in range(1, n + 1)]
+            return u
 
-        for cuts in [(0, 6), (0, 2, 6), (0, 1, 3, 4, 6), (0, 1, 2, 3, 4, 5, 6)]:
-            full = oneline(_quotient_word(cuts, 6), 6)
-            for nvars in range(1, 7):
-                u = oneline(_quotient_word(cuts, nvars), 6)
-                assert ([v if v < nvars else 0 for v in u]
-                        == [v if v < nvars else 0 for v in full]), (cuts, nvars)
-                high = [v for v in u if v >= nvars]
-                assert high == sorted(high), (cuts, nvars)
-        assert _quotient_word((0, 1, 2, 3), 3) == (1, 2, 1)
+        for n in range(1, 7):
+            for inner in itertools.product((False, True), repeat=n - 1):
+                cuts = (0, *(j for j, cut in enumerate(inner, 1) if cut), n)
+                w0_J = Permutation.from_oneline(
+                    v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1))
+                word = _quotient_word(cuts)
+                u = Permutation.longest(n) * w0_J
+                assert product(word) == u, cuts
+                assert len(word) == perm_length(u), cuts
+        assert _quotient_word((0, 1, 2, 3)) == (1, 2, 1)
 
     def test_zero_past_length(self, monkeypatch):
         # every term of the polynomial has degree at least the length, so
@@ -517,6 +539,14 @@ class TestGpSp:
         win = Window(3, 4)
         for z in all_fpf_involutions(6):
             assert gp_sp_stabilized(z, win) == gp_sp(z, win)
+
+    def test_in_window_route_agrees(self):
+        # the long word of S_nvars on the restricted symplectic polynomial,
+        # at a window below the rank-6 supports and at one above rank 4's
+        for win in (Window(2, 6), Window(4, 7)):
+            for rank in (0, 2, 4, 6):
+                for z in all_fpf_involutions(rank):
+                    assert gp_sp_in_window(z, win) == gp_sp(z, win), (z, win)
 
     def test_symmetry(self):
         win = Window(3, 4)
